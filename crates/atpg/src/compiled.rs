@@ -67,17 +67,19 @@ pub struct CompiledPodem<'m, 'a> {
     cur_frames: usize,
     // D-frontier candidate maintenance: the levelized order and each
     // cell's position in it (`NONE` for non-combinational cells), the
-    // per-frame candidate sets (as order positions, sorted on demand)
-    // and a stamped membership table over (cell, frame).
+    // per-frame candidate sets (as order positions, sorted on demand,
+    // pruned to the exact frontier as they are walked) and a stamped
+    // membership table over (cell, frame).
     order: Vec<CellId>,
     order_pos: Vec<u32>,
     cand: Vec<Vec<u32>>,
     cand_dirty: Vec<bool>,
     cand_in: Vec<u32>,
     cgen: u32,
-    // Work counters.
+    // Work counters, plus the committed work of forked searches.
     decisions: u64,
     backtracks: u64,
+    absorbed: AtpgKernelStats,
 }
 
 impl<'m, 'a> CompiledPodem<'m, 'a> {
@@ -97,9 +99,28 @@ impl<'m, 'a> CompiledPodem<'m, 'a> {
         for (pos, &id) in order.iter().enumerate() {
             order_pos[id.index()] = pos as u32;
         }
+        Self::with_tables(
+            model,
+            scan_of,
+            pi_of,
+            Controllability::compute(model),
+            order,
+            order_pos,
+        )
+    }
+
+    /// An engine over precomputed lookup tables, with empty scratch.
+    fn with_tables(
+        model: &'m CaptureModel<'a>,
+        scan_of: Vec<u32>,
+        pi_of: Vec<u32>,
+        cc: Controllability,
+        order: Vec<CellId>,
+        order_pos: Vec<u32>,
+    ) -> Self {
         CompiledPodem {
             sim: DualGraphSim::new(model),
-            cc: Controllability::compute(model),
+            cc,
             model,
             scan_of,
             pi_of,
@@ -118,6 +139,7 @@ impl<'m, 'a> CompiledPodem<'m, 'a> {
             cgen: 0,
             decisions: 0,
             backtracks: 0,
+            absorbed: AtpgKernelStats::default(),
         }
     }
 
@@ -401,10 +423,11 @@ impl<'m, 'a> CompiledPodem<'m, 'a> {
     /// broad sense — differing definite values *or* differing
     /// definiteness) is noted together with its propagation fanouts,
     /// plus the input-site cell in its active frames. The sets are a
-    /// conservative superset — [`CompiledPodem::find_assignment`]
-    /// re-applies the exact per-cell filters — kept current by
-    /// [`CompiledPodem::drain_changed`] after each incremental resim,
-    /// so decisions no longer walk the whole levelized order.
+    /// superset of the frontier — [`CompiledPodem::find_assignment`]
+    /// re-applies the exact per-cell filters and drops the cells that
+    /// fail them — kept current by [`CompiledPodem::drain_changed`]
+    /// after each incremental resim, so decisions no longer walk the
+    /// whole levelized order.
     fn seed_candidates(&mut self, spec: &FrameSpec, fault: Fault) {
         let frames = spec.frames();
         self.cgen = self.cgen.wrapping_add(1);
@@ -564,9 +587,14 @@ impl<'m, 'a> CompiledPodem<'m, 'a> {
         // side input, until a backtrace lands on a variable — same
         // enumeration order as the reference (frames ascending, then
         // levelized order), but generated from the maintained candidate
-        // sets instead of walking the whole order: only cells near a
-        // machine difference are visited, and the exact reference
-        // filters re-run per candidate so the outcome is identical.
+        // sets instead of walking the whole order. The sets are kept
+        // *exact* lazily: a candidate failing a filter is dropped in
+        // place (order kept) and its stamp cleared. Every filter reads
+        // only the cell's own values and its inputs' values, and any
+        // move of those lands in the change log, so `drain_changed`
+        // re-adds the cell before its verdict can flip — the visited
+        // sequence of frontier gates, and with it every decision, is
+        // unchanged.
         let nl = self.model.netlist();
         let pin_site_cell = match fault.site() {
             FaultSite::Input { cell, .. } => Some(cell),
@@ -577,43 +605,61 @@ impl<'m, 'a> CompiledPodem<'m, 'a> {
             FaultModel::Transition => k == frames,
         };
         for k in 1..=frames {
-            if self.cand_dirty[k - 1] {
-                self.cand[k - 1].sort_unstable();
-                self.cand_dirty[k - 1] = false;
+            let f0 = k - 1;
+            if self.cand_dirty[f0] {
+                self.cand[f0].sort_unstable();
+                self.cand_dirty[f0] = false;
             }
-            let mut ci = 0usize;
-            while ci < self.cand[k - 1].len() {
-                let id = self.order[self.cand[k - 1][ci] as usize];
-                ci += 1;
-                let g_out = self.sim.good(k, id);
-                let f_out = self.sim.faulty(k, id);
-                if g_out.is_definite() && f_out.is_definite() {
-                    continue; // settled (either propagated or blocked)
-                }
-                if !obs.observable(k, id) {
+            let (mut read, mut write) = (0usize, 0usize);
+            while read < self.cand[f0].len() {
+                let pos = self.cand[f0][read];
+                read += 1;
+                let id = self.order[pos as usize];
+                if !self.on_frontier(obs, id, k, pin_site_cell == Some(id) && active(k)) {
+                    self.cand_in[id.index() * self.cur_frames + f0] = 0;
                     continue;
                 }
-                let cell = nl.cell(id);
-                let has_d = (pin_site_cell == Some(id) && active(k))
-                    || cell.inputs().iter().any(|&i| {
-                        let g = self.sim.good(k, i);
-                        let f = self.sim.faulty(k, i);
-                        (g.is_definite() && f.is_definite() && g != f)
-                            || (g.is_definite() != f.is_definite())
-                    });
-                if !has_d {
-                    continue;
-                }
+                self.cand[f0][write] = pos;
+                write += 1;
+                let kind = nl.cell(id).kind();
                 let mut oi = 0usize;
-                while let Some((node, want)) = self.side_objective(cell.kind(), id, k, oi) {
+                while let Some((node, want)) = self.side_objective(kind, id, k, oi) {
                     oi += 1;
                     if let Some(hit) = self.backtrace(spec, node, k, want) {
+                        // Keep the unvisited tail behind the survivors.
+                        let list = &mut self.cand[f0];
+                        let len = list.len();
+                        list.copy_within(read.., write);
+                        list.truncate(len - (read - write));
                         return Some(hit);
                     }
                 }
             }
+            self.cand[f0].truncate(write);
         }
         None
+    }
+
+    /// The reference engine's D-frontier filters for `id` in frame `k`:
+    /// an unsettled output (either machine X), observable from that
+    /// frame, with a fault effect on some input (or the faulted pin
+    /// itself, when `pin_site` says `id` carries an active pin fault).
+    fn on_frontier(&self, obs: &Observability, id: CellId, k: usize, pin_site: bool) -> bool {
+        let g_out = self.sim.good(k, id);
+        let f_out = self.sim.faulty(k, id);
+        if g_out.is_definite() && f_out.is_definite() {
+            return false; // settled (either propagated or blocked)
+        }
+        if !obs.observable(k, id) {
+            return false;
+        }
+        pin_site
+            || self.model.netlist().cell(id).inputs().iter().any(|&i| {
+                let g = self.sim.good(k, i);
+                let f = self.sim.faulty(k, i);
+                (g.is_definite() && f.is_definite() && g != f)
+                    || (g.is_definite() != f.is_definite())
+            })
     }
 
     /// The `oi`-th side-input objective of a D-frontier gate, in
@@ -932,13 +978,34 @@ impl AtpgEngine for CompiledPodem<'_, '_> {
     }
 
     fn kernel_stats(&self) -> AtpgKernelStats {
-        AtpgKernelStats {
+        let mut stats = AtpgKernelStats {
             decisions: self.decisions,
             backtracks: self.backtracks,
             events: self.sim.events(),
             incremental_resims: self.sim.incremental_resims(),
             full_resims: self.sim.full_resims(),
             seeded_sims: self.sim.seeded_sims(),
-        }
+        };
+        stats += self.absorbed;
+        stats
+    }
+
+    /// Forks share the model and copy the static lookup tables; scratch
+    /// and the per-spec baselines start empty, so a fork's first search
+    /// under each procedure runs a full simulation (the opening
+    /// simulation's cost differs, never its values or the decisions).
+    fn fork(&self) -> Option<Box<dyn AtpgEngine + Send + '_>> {
+        Some(Box::new(CompiledPodem::with_tables(
+            self.model,
+            self.scan_of.clone(),
+            self.pi_of.clone(),
+            self.cc.clone(),
+            self.order.clone(),
+            self.order_pos.clone(),
+        )))
+    }
+
+    fn absorb_stats(&mut self, stats: AtpgKernelStats) {
+        self.absorbed += stats;
     }
 }

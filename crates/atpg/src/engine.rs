@@ -40,6 +40,33 @@ pub struct AtpgKernelStats {
     pub seeded_sims: u64,
 }
 
+impl std::ops::AddAssign for AtpgKernelStats {
+    fn add_assign(&mut self, o: AtpgKernelStats) {
+        self.decisions += o.decisions;
+        self.backtracks += o.backtracks;
+        self.events += o.events;
+        self.incremental_resims += o.incremental_resims;
+        self.full_resims += o.full_resims;
+        self.seeded_sims += o.seeded_sims;
+    }
+}
+
+impl std::ops::Sub for AtpgKernelStats {
+    type Output = AtpgKernelStats;
+
+    /// The work done between two snapshots of one engine's counters.
+    fn sub(self, earlier: AtpgKernelStats) -> AtpgKernelStats {
+        AtpgKernelStats {
+            decisions: self.decisions - earlier.decisions,
+            backtracks: self.backtracks - earlier.backtracks,
+            events: self.events - earlier.events,
+            incremental_resims: self.incremental_resims - earlier.incremental_resims,
+            full_resims: self.full_resims - earlier.full_resims,
+            seeded_sims: self.seeded_sims - earlier.seeded_sims,
+        }
+    }
+}
+
 /// A test-generation engine: anything that can run one
 /// backtrack-limited PODEM search for one fault under one procedure.
 ///
@@ -63,5 +90,22 @@ pub trait AtpgEngine {
     /// Work counters accumulated by this engine since construction.
     fn kernel_stats(&self) -> AtpgKernelStats {
         AtpgKernelStats::default()
+    }
+
+    /// A fresh engine over the same model that may search on another
+    /// thread — the hook fault-parallel search draws its workers from.
+    /// A fork must reach the same outcome, with the same decisions and
+    /// backtracks, as `self` for every search. The default, `None`,
+    /// keeps every search on the calling thread.
+    fn fork(&self) -> Option<Box<dyn AtpgEngine + Send + '_>> {
+        None
+    }
+
+    /// Adds the work of searches run on this engine's forks to its
+    /// [`AtpgEngine::kernel_stats`], so a fault-parallel run reports the
+    /// sum of the searches it committed. Engines that cannot fork never
+    /// receive a call; the default ignores it.
+    fn absorb_stats(&mut self, stats: AtpgKernelStats) {
+        let _ = stats;
     }
 }

@@ -17,8 +17,8 @@
 //! single-pattern compaction grading (one full-universe pass per kept
 //! pattern) affordable.
 
-use crate::{AtpgEngine, Observability, PodemOutcome};
-use occ_fault::{FaultList, FaultStatus, FaultUniverse};
+use crate::{AtpgEngine, AtpgKernelStats, Observability, PodemOutcome};
+use occ_fault::{Fault, FaultList, FaultModel, FaultSite, FaultStatus, FaultUniverse};
 use occ_fsim::{
     simulate_good, CancelCause, CancelToken, CaptureModel, FaultSimEngine, FrameSpec, Pattern,
     PatternSet,
@@ -26,6 +26,9 @@ use occ_fsim::{
 use occ_netlist::Logic;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
+use std::sync::{mpsc, Mutex};
 
 /// Options controlling an ATPG run.
 #[derive(Debug, Clone)]
@@ -197,11 +200,21 @@ fn apply_detections(
 /// detections. Optionally a reverse-order static compaction pass prunes
 /// patterns that no longer contribute, re-grading from scratch.
 ///
-/// The result is independent of both engine choices: serial and
-/// sharded fault simulators return bit-identical masks, and the
-/// reference and compiled PODEM engines return identical
-/// [`PodemOutcome`]s — so fault statuses, pattern sets and coverage
-/// reports are equal for any combination.
+/// The searches spread over [`FaultSimEngine::worker_threads`] threads
+/// when that is more than one and the ATPG engine can
+/// [fork](AtpgEngine::fork): workers search the next still-undetected
+/// faults ahead of the commit point, and the calling thread commits
+/// their outcomes strictly in universe order — fill draws, pattern
+/// pushes, 64-pattern drops and stats happen exactly as in a serial
+/// run, and a search whose fault an earlier commit already detected is
+/// discarded uncounted. `podem`'s counters end up as the sum of the
+/// committed searches.
+///
+/// The result is independent of both engine choices and of the thread
+/// count: serial and sharded fault simulators return bit-identical
+/// masks, and the reference and compiled PODEM engines (and their
+/// forks) return identical [`PodemOutcome`]s — so fault statuses,
+/// pattern sets and coverage reports are equal for any combination.
 ///
 /// # Panics
 ///
@@ -273,8 +286,9 @@ pub fn run_atpg_preclassified(
 /// grading pass (the cause is re-checked after the last batch, and trip
 /// states are permanent).
 ///
-/// Cancellation latency is bounded by one PODEM search plus one 64-wide
-/// fault-simulation block, not by the whole run.
+/// Cancellation latency is bounded by one PODEM search (per search
+/// worker) plus one 64-wide fault-simulation block, not by the whole
+/// run; no search worker outlives the call.
 ///
 /// # Errors
 ///
@@ -357,8 +371,6 @@ pub fn run_atpg_filled(
         .collect();
 
     let mut patterns = PatternSet::new(procedures.to_vec());
-    // Per-procedure batch of not-yet-fault-simulated pattern indices.
-    let mut pending: Vec<Vec<usize>> = vec![Vec::new(); procedures.len()];
 
     // Pre-pass: faults sitting on constrained or masked control pins
     // (clocks held low, scan enable, resets, scan-in ports) cannot be
@@ -456,131 +468,32 @@ pub fn run_atpg_filled(
     drop(phase_span);
 
     let mut phase_span = occ_obs::span("atpg.search");
-    let faults: Vec<occ_fault::Fault> = list.faults().to_vec();
-    for &fault in &faults {
-        if let Some(cause) = cancel.cause() {
-            return Err(cause);
-        }
-        if list.status(fault) != FaultStatus::Undetected {
-            continue;
-        }
-        stats.targeted += 1;
-        let mut any_abort = false;
-        let mut found = false;
-        let mut undeliverable = false;
-        for (pi, spec) in procedures.iter().enumerate() {
-            let obs = &observability[pi];
-            // Quick structural skip: the fault's effect cell can never
-            // be observed under this procedure.
-            let effect = fault.site().effect_cell();
-            let scan_q_stuck = fault.model() == occ_fault::FaultModel::StuckAt
-                && matches!(fault.site(), occ_fault::FaultSite::Output(c)
-                    if model.flop_index(c).is_some_and(|fi| model.flops()[fi].is_scan));
-            if !(1..=spec.frames()).any(|k| obs.observable(k, effect)) && !scan_q_stuck {
-                continue;
-            }
-            stats.podem_calls += 1;
-            match podem.run(spec, obs, fault, options.backtrack_limit) {
-                PodemOutcome::Test(p) => {
-                    stats.tests_found += 1;
-                    let mut delivered = fill.deliver(*p, model, spec, pi);
-                    for q in &mut delivered {
-                        q.proc_index = pi;
-                    }
-                    if delivered.is_empty() {
-                        // The source cannot carry this cube at all;
-                        // keep searching other procedures.
-                        undeliverable = true;
-                        continue;
-                    }
-                    if delivered.len() == 1 {
-                        // Exact delivery: the cube's detection
-                        // guarantee holds, same path as random fill.
-                        let idx = patterns.push(delivered.pop().expect("one pattern"));
-                        list.set_status(
-                            fault,
-                            FaultStatus::Detected {
-                                pattern: idx as u32,
-                            },
-                        );
-                        pending[pi].push(idx);
-                    } else {
-                        // Split delivery: the care bits are spread over
-                        // several patterns, so the target must be
-                        // re-graded — no single pattern is guaranteed
-                        // to detect it.
-                        let idxs: Vec<usize> =
-                            delivered.iter().map(|q| patterns.push(q.clone())).collect();
-                        let good = simulate_good(model, spec, &delivered);
-                        stats.fsim_batches += 1;
-                        let mask = engine.detect_batch(spec, &good, &[fault])[0];
-                        if mask == 0 {
-                            undeliverable = true;
-                        } else {
-                            let bit = mask.trailing_zeros() as usize;
-                            list.set_status(
-                                fault,
-                                FaultStatus::Detected {
-                                    pattern: idxs[bit] as u32,
-                                },
-                            );
-                        }
-                        pending[pi].extend(idxs);
-                        if mask == 0 {
-                            // Keep the patterns (they still drop other
-                            // faults at the next flush) but try the
-                            // remaining procedures for this one.
-                            while pending[pi].len() >= 64 {
-                                let mut batch: Vec<usize> = pending[pi].drain(..64).collect();
-                                flush_batch(
-                                    model, engine, &patterns, procedures, pi, &mut batch,
-                                    &mut list, &mut stats,
-                                );
-                            }
-                            continue;
-                        }
-                    }
-                    while pending[pi].len() >= 64 {
-                        let mut batch: Vec<usize> = pending[pi].drain(..64).collect();
-                        flush_batch(
-                            model, engine, &patterns, procedures, pi, &mut batch, &mut list,
-                            &mut stats,
-                        );
-                    }
-                    found = true;
-                    break;
-                }
-                PodemOutcome::Aborted => {
-                    any_abort = true;
-                    stats.aborted_calls += 1;
-                }
-                PodemOutcome::Untestable => {}
-            }
-        }
-        if !found && !undeliverable {
-            list.set_status(
-                fault,
-                if any_abort {
-                    FaultStatus::Aborted
-                } else {
-                    FaultStatus::Untestable
-                },
-            );
-        }
-    }
-
-    for (pi, slot) in pending.iter_mut().enumerate() {
-        if !slot.is_empty() {
-            let mut batch = std::mem::take(slot);
-            flush_batch(
-                model, engine, &patterns, procedures, pi, &mut batch, &mut list, &mut stats,
-            );
-        }
-    }
+    let search = Search {
+        model,
+        procedures,
+        observability: &observability,
+        backtrack_limit: options.backtrack_limit,
+        cancel,
+    };
+    let faults: Vec<Fault> = list.faults().to_vec();
+    let threads = engine.worker_threads();
+    let mut commit = Commit {
+        search: &search,
+        engine,
+        fill,
+        list: &mut list,
+        stats: &mut stats,
+        patterns: &mut patterns,
+        pending: vec![Vec::new(); procedures.len()],
+    };
+    let (searched, workers, discarded) = search_faults(&mut commit, &faults, podem, threads);
+    phase_span.attr_u64("threads", workers as u64);
+    phase_span.attr_u64("discarded", discarded);
+    occ_obs::metrics().atpg_speculative_discarded.add(discarded);
+    searched?;
     stats.patterns_before_compaction = patterns.len();
     phase_span.attr_u64("targeted", stats.targeted as u64);
     phase_span.attr_u64("tests_found", stats.tests_found as u64);
-    phase_span.attr_u64("patterns", patterns.len() as u64);
     drop(phase_span);
 
     if options.compaction {
@@ -607,6 +520,424 @@ pub fn run_atpg_filled(
         faults: list,
         stats,
     })
+}
+
+/// Speculative searches in flight per worker thread: how far the
+/// workers may run ahead of the in-order commit point.
+const LOOKAHEAD_PER_WORKER: usize = 4;
+
+/// What every PODEM search of a run shares: the model, the procedures
+/// with their observability cones, the backtrack limit and the token.
+struct Search<'r, 'm> {
+    model: &'r CaptureModel<'m>,
+    procedures: &'r [FrameSpec],
+    observability: &'r [Observability],
+    backtrack_limit: usize,
+    cancel: &'r CancelToken,
+}
+
+impl Search<'_, '_> {
+    /// Whether procedure `pi` is worth a search at all: some frame can
+    /// observe the fault's effect cell, or the fault is a stuck scan-flop
+    /// Q (observed directly at unload).
+    fn searchable(&self, pi: usize, fault: Fault) -> bool {
+        let model = self.model;
+        let effect = fault.site().effect_cell();
+        (1..=self.procedures[pi].frames()).any(|k| self.observability[pi].observable(k, effect))
+            || fault.model() == FaultModel::StuckAt
+                && matches!(fault.site(), FaultSite::Output(c)
+                    if model.flop_index(c).is_some_and(|fi| model.flops()[fi].is_scan))
+    }
+
+    fn run(&self, podem: &mut dyn AtpgEngine, pi: usize, fault: Fault) -> PodemOutcome {
+        podem.run(
+            &self.procedures[pi],
+            &self.observability[pi],
+            fault,
+            self.backtrack_limit,
+        )
+    }
+
+    /// A worker's search of one fault: the searchable procedures in
+    /// order, up to and including the first test. Stops early, with a
+    /// shorter list, once the token trips.
+    fn speculate(&self, podem: &mut dyn AtpgEngine, idx: usize, fault: Fault) -> Speculated {
+        let before = podem.kernel_stats();
+        let mut outcomes = Vec::new();
+        for pi in 0..self.procedures.len() {
+            if !self.searchable(pi, fault) {
+                continue;
+            }
+            if self.cancel.cause().is_some() {
+                break;
+            }
+            let outcome = self.run(podem, pi, fault);
+            let test = matches!(outcome, PodemOutcome::Test(_));
+            outcomes.push((pi, outcome));
+            if test {
+                break;
+            }
+        }
+        Speculated {
+            idx,
+            outcomes,
+            work: podem.kernel_stats() - before,
+        }
+    }
+}
+
+/// One fault's searches, run ahead of the commit point by a worker.
+struct Speculated {
+    /// Universe index of the fault.
+    idx: usize,
+    /// `(procedure, outcome)` in procedure order.
+    outcomes: Vec<(usize, PodemOutcome)>,
+    /// The worker engine's counters over these searches.
+    work: AtpgKernelStats,
+}
+
+/// The search phase's state, advanced strictly in universe order: the
+/// only place fault statuses, patterns, stats and the fill stream move
+/// during the search, whatever thread ran a search.
+struct Commit<'c, 'r, 'm> {
+    search: &'c Search<'r, 'm>,
+    engine: &'c mut dyn FaultSimEngine,
+    fill: &'c mut dyn PatternFill,
+    list: &'c mut FaultList,
+    stats: &'c mut AtpgStats,
+    patterns: &'c mut PatternSet,
+    /// Per-procedure batch of not-yet-fault-simulated pattern indices.
+    pending: Vec<Vec<usize>>,
+}
+
+impl Commit<'_, '_, '_> {
+    /// The commit loop: every fault still undetected at its turn takes
+    /// its speculated outcomes (from `pipe`, when workers run) and
+    /// searches whatever procedures those do not cover on `local`.
+    fn run(
+        &mut self,
+        faults: &[Fault],
+        local: &mut dyn AtpgEngine,
+        mut pipe: Option<&mut Pipeline>,
+    ) -> Result<(), CancelCause> {
+        for (idx, &fault) in faults.iter().enumerate() {
+            let undetected = self.list.status(fault) == FaultStatus::Undetected;
+            let speculated = match pipe.as_deref_mut() {
+                Some(p) => p.take(idx, undetected, faults, self.list),
+                None => Vec::new(),
+            };
+            // Checked after the take: a worker cuts a fault's searches
+            // short only once the token has tripped.
+            if let Some(cause) = self.search.cancel.cause() {
+                return Err(cause);
+            }
+            if !undetected {
+                continue;
+            }
+            self.commit_fault(fault, speculated, local);
+        }
+        for pi in 0..self.pending.len() {
+            let mut batch = std::mem::take(&mut self.pending[pi]);
+            self.flush(pi, &mut batch);
+        }
+        Ok(())
+    }
+
+    /// Tries the procedures in order for one undetected fault, exactly
+    /// as a serial search would: each outcome comes from `speculated`
+    /// when a worker already searched that procedure, else from `local`.
+    fn commit_fault(
+        &mut self,
+        fault: Fault,
+        speculated: Vec<(usize, PodemOutcome)>,
+        local: &mut dyn AtpgEngine,
+    ) {
+        let search = self.search;
+        let model = search.model;
+        self.stats.targeted += 1;
+        let mut speculated = speculated.into_iter().peekable();
+        let mut any_abort = false;
+        let mut found = false;
+        let mut undeliverable = false;
+        for (pi, spec) in search.procedures.iter().enumerate() {
+            if !search.searchable(pi, fault) {
+                continue;
+            }
+            self.stats.podem_calls += 1;
+            let outcome = match speculated.next_if(|&(p, _)| p == pi) {
+                Some((_, outcome)) => outcome,
+                None => search.run(local, pi, fault),
+            };
+            match outcome {
+                PodemOutcome::Test(p) => {
+                    self.stats.tests_found += 1;
+                    let mut delivered = self.fill.deliver(*p, model, spec, pi);
+                    for q in &mut delivered {
+                        q.proc_index = pi;
+                    }
+                    if delivered.is_empty() {
+                        // The source cannot carry this cube at all;
+                        // keep searching other procedures.
+                        undeliverable = true;
+                        continue;
+                    }
+                    if delivered.len() == 1 {
+                        // Exact delivery: the cube's detection
+                        // guarantee holds, same path as random fill.
+                        let idx = self.patterns.push(delivered.pop().expect("one pattern"));
+                        self.list.set_status(
+                            fault,
+                            FaultStatus::Detected {
+                                pattern: idx as u32,
+                            },
+                        );
+                        self.pending[pi].push(idx);
+                    } else {
+                        // Split delivery: the care bits are spread over
+                        // several patterns, so the target must be
+                        // re-graded — no single pattern is guaranteed
+                        // to detect it.
+                        let idxs: Vec<usize> = delivered
+                            .iter()
+                            .map(|q| self.patterns.push(q.clone()))
+                            .collect();
+                        let good = simulate_good(model, spec, &delivered);
+                        self.stats.fsim_batches += 1;
+                        let mask = self.engine.detect_batch(spec, &good, &[fault])[0];
+                        if mask != 0 {
+                            let bit = mask.trailing_zeros() as usize;
+                            self.list.set_status(
+                                fault,
+                                FaultStatus::Detected {
+                                    pattern: idxs[bit] as u32,
+                                },
+                            );
+                        }
+                        self.pending[pi].extend(idxs);
+                        if mask == 0 {
+                            // Keep the patterns (they still drop other
+                            // faults at the next flush) but try the
+                            // remaining procedures for this one.
+                            undeliverable = true;
+                            self.flush_full(pi);
+                            continue;
+                        }
+                    }
+                    self.flush_full(pi);
+                    found = true;
+                    break;
+                }
+                PodemOutcome::Aborted => {
+                    any_abort = true;
+                    self.stats.aborted_calls += 1;
+                }
+                PodemOutcome::Untestable => {}
+            }
+        }
+        if !found && !undeliverable {
+            self.list.set_status(
+                fault,
+                if any_abort {
+                    FaultStatus::Aborted
+                } else {
+                    FaultStatus::Untestable
+                },
+            );
+        }
+    }
+
+    /// Grades every full 64-pattern batch pending for procedure `pi`.
+    fn flush_full(&mut self, pi: usize) {
+        while self.pending[pi].len() >= 64 {
+            let mut batch: Vec<usize> = self.pending[pi].drain(..64).collect();
+            self.flush(pi, &mut batch);
+        }
+    }
+
+    fn flush(&mut self, pi: usize, batch: &mut Vec<usize>) {
+        let search = self.search;
+        flush_batch(
+            search.model,
+            self.engine,
+            self.patterns,
+            search.procedures,
+            pi,
+            batch,
+            self.list,
+            self.stats,
+        );
+    }
+}
+
+/// The commit step's side of fault-parallel search: dispatches the
+/// next faults still undetected to the workers, at most `window` ahead
+/// of the commit point, and hands their results back in universe
+/// order.
+struct Pipeline {
+    jobs: mpsc::Sender<usize>,
+    results: mpsc::Receiver<std::thread::Result<Speculated>>,
+    window: usize,
+    /// Dispatched faults the commit point has not reached, ascending.
+    dispatched: VecDeque<usize>,
+    /// Next universe index to consider for dispatch.
+    next: usize,
+    /// Results that arrived ahead of their turn.
+    ready: HashMap<usize, Speculated>,
+    /// Searches whose results were thrown away.
+    discarded: u64,
+    /// Worker counters over the committed searches.
+    work: AtpgKernelStats,
+}
+
+impl Pipeline {
+    /// The speculated outcomes for fault `idx` — empty when it was not
+    /// dispatched or is no longer `undetected` (its result is then
+    /// discarded).
+    fn take(
+        &mut self,
+        idx: usize,
+        undetected: bool,
+        faults: &[Fault],
+        list: &FaultList,
+    ) -> Vec<(usize, PodemOutcome)> {
+        while self.dispatched.len() < self.window && self.next < faults.len() {
+            let j = self.next;
+            self.next += 1;
+            if list.status(faults[j]) == FaultStatus::Undetected {
+                // Workers only stop receiving once this side hangs up.
+                let _ = self.jobs.send(j);
+                self.dispatched.push_back(j);
+            }
+        }
+        if self.dispatched.front() != Some(&idx) {
+            return Vec::new();
+        }
+        self.dispatched.pop_front();
+        if !undetected {
+            if let Some(s) = self.ready.remove(&idx) {
+                self.discarded += s.outcomes.len() as u64;
+            }
+            return Vec::new();
+        }
+        loop {
+            if let Some(s) = self.ready.remove(&idx) {
+                self.work += s.work;
+                return s.outcomes;
+            }
+            match self.results.recv() {
+                // The commit point already passed this fault.
+                Ok(Ok(s)) if s.idx < idx => self.discarded += s.outcomes.len() as u64,
+                Ok(Ok(s)) => {
+                    self.ready.insert(s.idx, s);
+                }
+                Ok(Err(panic)) => std::panic::resume_unwind(panic),
+                Err(_) => unreachable!("search workers exited with fault {idx} outstanding"),
+            }
+        }
+    }
+
+    /// Hangs up on the workers and waits for them to drain: every
+    /// result not committed counts as discarded. Returns the discarded
+    /// count and the committed worker counters.
+    fn finish(mut self) -> (u64, AtpgKernelStats) {
+        drop(self.jobs);
+        for s in self.results.iter().flatten() {
+            self.discarded += s.outcomes.len() as u64;
+        }
+        for s in self.ready.values() {
+            self.discarded += s.outcomes.len() as u64;
+        }
+        (self.discarded, self.work)
+    }
+}
+
+/// A search worker: takes dispatched faults until the commit step
+/// hangs up, searching each on its own forked engine. A panicking
+/// search is handed to the commit step to re-raise.
+fn search_worker(
+    search: &Search<'_, '_>,
+    faults: &[Fault],
+    podem: &mut dyn AtpgEngine,
+    jobs: &Mutex<mpsc::Receiver<usize>>,
+    results: &mpsc::Sender<std::thread::Result<Speculated>>,
+) {
+    loop {
+        // Hold the queue lock only while dequeueing.
+        let Ok(idx) = jobs.lock().expect("job queue poisoned").recv() else {
+            return; // the commit step hung up
+        };
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            search.speculate(podem, idx, faults[idx])
+        }));
+        let panicked = result.is_err();
+        if results.send(result).is_err() || panicked {
+            return;
+        }
+    }
+}
+
+/// Runs the search phase through one commit loop. With more than one
+/// fault-sim worker thread and an ATPG engine that forks, that many
+/// scoped workers search ahead of the commit point on forked engines
+/// (the commit step searches on a fork of its own); otherwise every
+/// search runs inline on `podem`. Either way `podem` ends up reporting
+/// the counters of the committed searches. Returns the loop's result,
+/// the worker count (1 when inline) and the discarded-search count.
+fn search_faults(
+    commit: &mut Commit<'_, '_, '_>,
+    faults: &[Fault],
+    podem: &mut dyn AtpgEngine,
+    threads: usize,
+) -> (Result<(), CancelCause>, usize, u64) {
+    let mut forks = Vec::new();
+    if threads > 1 {
+        while forks.len() <= threads {
+            match podem.fork() {
+                Some(f) => forks.push(f),
+                None => break,
+            }
+        }
+    }
+    if forks.len() < 2 {
+        drop(forks);
+        return (commit.run(faults, podem, None), 1, 0);
+    }
+    let mut local = forks.pop().expect("at least two forks");
+    let workers = forks.len();
+    let (job_tx, job_rx) = mpsc::channel();
+    let job_rx = Mutex::new(job_rx);
+    let (result_tx, result_rx) = mpsc::channel();
+    let search = commit.search;
+    let (result, discarded, work) = std::thread::scope(|scope| {
+        for mut fork in forks {
+            let results = result_tx.clone();
+            let job_rx = &job_rx;
+            scope.spawn(move || {
+                search_worker(search, faults, &mut *fork, job_rx, &results);
+            });
+        }
+        drop(result_tx);
+        // Built inside the scope: if the commit loop unwinds, dropping
+        // the job sender releases the workers before the scope joins.
+        let mut pipe = Pipeline {
+            jobs: job_tx,
+            results: result_rx,
+            window: LOOKAHEAD_PER_WORKER * workers,
+            dispatched: VecDeque::new(),
+            next: 0,
+            ready: HashMap::new(),
+            discarded: 0,
+            work: AtpgKernelStats::default(),
+        };
+        let result = commit.run(faults, &mut *local, Some(&mut pipe));
+        let (discarded, work) = pipe.finish();
+        (result, discarded, work)
+    });
+    let mut committed = local.kernel_stats();
+    committed += work;
+    drop(local);
+    podem.absorb_stats(committed);
+    (result, workers, discarded)
 }
 
 /// Fault-simulates one batch of same-procedure patterns against every

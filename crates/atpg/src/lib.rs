@@ -26,7 +26,10 @@
 //!   [`ReferencePodem`] and the compiled incremental [`CompiledPodem`]
 //!   (flat lookup tables, stamped scratch, changed-cone re-simulation
 //!   through [`DualGraphSim`]) produce identical outcomes — the
-//!   compiled engine is just faster and allocation-free per decision.
+//!   compiled engine is just faster and allocation-free per decision;
+//! * fault-parallel search: engines that [fork](AtpgEngine::fork)
+//!   search ahead of an in-order commit on the fault simulator's worker
+//!   threads, with results identical at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,7 +13,7 @@
 //!            [--out PATH] [--check BASELINE.json]
 //! ```
 //!
-//! Three gates:
+//! Four gates:
 //!
 //! * **Allocation** (hardware-independent, always on): the compiled
 //!   engine must stay O(1) allocations per PODEM decision — measured
@@ -26,6 +26,12 @@
 //!   byte-identical to the unpruned `run_atpg` (same procedure
 //!   indices, scan loads, PI fills, coverage). The skipped-search
 //!   count and both wall-clocks land in the JSON as the `lint` row.
+//! * **Parallel-search identity** (hardware-independent, always on):
+//!   Table-1 row (d) is run through `TestFlow` with its search on one
+//!   thread and on every available thread; the pattern sets, per-fault
+//!   statuses and PODEM decision/backtrack counts must be identical.
+//!   Both ATPG-stage wall-clocks and the count of discarded speculative
+//!   searches land in the JSON as the `search` row (no timing gate).
 //! * **Speedup ratio** (with `--check`): the compiled-vs-reference
 //!   decisions/sec ratio — both engines make identical decisions, so
 //!   the ratio cancels out machine speed — must not regress more than
@@ -43,8 +49,10 @@ use occ_atpg::{
     run_atpg, run_atpg_preclassified, AtpgEngine, AtpgOptions, AtpgResult, CompiledPodem,
     Observability, PodemOutcome, ReferencePodem,
 };
+use occ_bench::{run_experiment, ExperimentId, Table1Options};
 use occ_core::ClockingMode;
 use occ_fault::FaultUniverse;
+use occ_flow::{EngineChoice, FlowReport, Stage};
 use occ_fsim::{CaptureModel, FaultSim, FrameSpec};
 use occ_lint::Linter;
 use occ_soc::{generate, SocConfig};
@@ -90,6 +98,19 @@ struct LintRow {
     pruned_seconds: f64,
     patterns: usize,
     coverage_pct: f64,
+}
+
+/// Table-1 row (d) searched on one thread and on all of them, gated on
+/// identical results.
+struct SearchRow {
+    threads: usize,
+    serial_seconds: f64,
+    parallel_seconds: f64,
+    podem_calls: usize,
+    decisions: u64,
+    backtracks: u64,
+    discarded: u64,
+    patterns: usize,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -265,6 +286,28 @@ fn main() -> ExitCode {
         lint.coverage_pct,
     );
 
+    // Parallel-search identity gate: thread count changes how fast the
+    // row is searched, never what it produces.
+    let search = match run_search_row(&soc, &opts) {
+        Ok(row) => row,
+        Err(e) => {
+            eprintln!("atpg_bench: FATAL — parallel search: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!(
+        "  search (d)   1 thread {:.3}s  {} threads {:.3}s  ({:.2}x)  {} PODEM calls, \
+         {} decisions, {} discarded, {} patterns (results identical)",
+        search.serial_seconds,
+        search.threads,
+        search.parallel_seconds,
+        search.serial_seconds / search.parallel_seconds.max(1e-9),
+        search.podem_calls,
+        search.decisions,
+        search.discarded,
+        search.patterns,
+    );
+
     let peak_rss = alloc_track::peak_rss_kb();
     let json = to_json(
         &opts,
@@ -273,6 +316,7 @@ fn main() -> ExitCode {
         tests_found,
         &rows,
         &lint,
+        &search,
         speedup,
         allocs_per_decision,
         peak_rss,
@@ -384,7 +428,7 @@ fn run_lint_pruned(
     if pruned.stats.lint_pruned == 0 {
         return Err("lint pre-classification skipped zero PODEM searches".to_owned());
     }
-    check_identical(&pruned, &plain)?;
+    check_identical(("pruned", &pruned), ("plain", &plain))?;
     Ok(LintRow {
         untestable: report.untestable.len(),
         podem_skipped: pruned.stats.lint_pruned,
@@ -395,32 +439,90 @@ fn run_lint_pruned(
     })
 }
 
-/// Byte-level identity between the pruned and plain ATPG results.
-fn check_identical(pruned: &AtpgResult, plain: &AtpgResult) -> Result<(), String> {
-    if pruned.report().detected != plain.report().detected {
+/// Runs Table-1 row (d) with its search on one thread and on every
+/// available thread, and hard-gates on identical patterns, per-fault
+/// statuses and PODEM work.
+fn run_search_row(soc: &occ_soc::Soc, opts: &Options) -> Result<SearchRow, String> {
+    let run = |engine: EngineChoice| -> Result<FlowReport, String> {
+        let options = Table1Options {
+            flops_per_domain: opts.flops,
+            backtrack_limit: opts.limit,
+            engine,
+            ..Table1Options::default()
+        };
+        run_experiment(soc, ExperimentId::D, &options)
+            .map(|row| row.report)
+            .map_err(|e| e.to_string())
+    };
+    let serial = run(EngineChoice::Sharded { threads: 1 })?;
+    let discarded = occ_obs::metrics().atpg_speculative_discarded.get();
+    let parallel = run(EngineChoice::Auto)?;
+    let discarded = occ_obs::metrics().atpg_speculative_discarded.get() - discarded;
+
+    check_identical(("1-thread", &serial.result), ("N-thread", &parallel.result))?;
+    let faults = &serial.result.faults;
+    if let Some((fault, _)) = parallel
+        .result
+        .faults
+        .iter()
+        .find(|&(f, s)| faults.status(f) != s)
+    {
         return Err(format!(
-            "detected counts diverge: pruned {} vs plain {}",
-            pruned.report().detected,
-            plain.report().detected
+            "fault {fault} status diverges between 1 and N threads"
         ));
     }
-    if pruned.patterns.len() != plain.patterns.len() {
+    let work = |r: &FlowReport| (r.atpg_kernel.decisions, r.atpg_kernel.backtracks);
+    if work(&parallel) != work(&serial) || parallel.result.stats != serial.result.stats {
         return Err(format!(
-            "pattern counts diverge: pruned {} vs plain {}",
-            pruned.patterns.len(),
-            plain.patterns.len()
+            "PODEM work diverges: {:?} at 1 thread vs {:?} at {}",
+            work(&serial),
+            work(&parallel),
+            parallel.threads
         ));
     }
-    for (i, (a, b)) in pruned
+    Ok(SearchRow {
+        threads: parallel.threads,
+        serial_seconds: serial.stage_seconds(Stage::Atpg),
+        parallel_seconds: parallel.stage_seconds(Stage::Atpg),
+        podem_calls: serial.result.stats.podem_calls,
+        decisions: serial.atpg_kernel.decisions,
+        backtracks: serial.atpg_kernel.backtracks,
+        discarded,
+        patterns: serial.patterns(),
+    })
+}
+
+/// Byte-level pattern-set identity between two ATPG results (`a` and
+/// `b` name them in the error). Fault statuses are not compared: a
+/// lint-pruned run may relabel `Aborted` faults `Untestable`.
+fn check_identical(
+    (a_name, a): (&str, &AtpgResult),
+    (b_name, b): (&str, &AtpgResult),
+) -> Result<(), String> {
+    if a.report().detected != b.report().detected {
+        return Err(format!(
+            "detected counts diverge: {a_name} {} vs {b_name} {}",
+            a.report().detected,
+            b.report().detected
+        ));
+    }
+    if a.patterns.len() != b.patterns.len() {
+        return Err(format!(
+            "pattern counts diverge: {a_name} {} vs {b_name} {}",
+            a.patterns.len(),
+            b.patterns.len()
+        ));
+    }
+    for (i, (p, q)) in a
         .patterns
         .patterns()
         .iter()
-        .zip(plain.patterns.patterns())
+        .zip(b.patterns.patterns())
         .enumerate()
     {
-        if a.proc_index != b.proc_index || a.scan_load != b.scan_load || a.pis != b.pis {
+        if p.proc_index != q.proc_index || p.scan_load != q.scan_load || p.pis != q.pis {
             return Err(format!(
-                "pattern {i} diverges between pruned and plain runs"
+                "pattern {i} diverges between {a_name} and {b_name} runs"
             ));
         }
     }
@@ -435,6 +537,7 @@ fn to_json(
     tests_found: usize,
     rows: &[EngineRow],
     lint: &LintRow,
+    search: &SearchRow,
     speedup: f64,
     allocs_per_decision: f64,
     peak_rss_kb: Option<u64>,
@@ -492,6 +595,20 @@ fn to_json(
         lint.pruned_seconds,
         lint.patterns,
         lint.coverage_pct,
+    );
+    let _ = write!(
+        out,
+        "\"search\":{{\"row\":\"d\",\"threads\":{},\"serial_seconds\":{:.6},\
+         \"parallel_seconds\":{:.6},\"podem_calls\":{},\"decisions\":{},\
+         \"backtracks\":{},\"discarded\":{},\"patterns\":{},\"identical\":true}},",
+        search.threads,
+        search.serial_seconds,
+        search.parallel_seconds,
+        search.podem_calls,
+        search.decisions,
+        search.backtracks,
+        search.discarded,
+        search.patterns,
     );
     let _ = writeln!(
         out,

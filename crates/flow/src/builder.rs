@@ -626,6 +626,7 @@ impl<'s> TestFlow<'s> {
         m.atpg_events.add(atpg_kernel.events);
         m.atpg_podem_calls.add(stats.podem_calls as u64);
         m.atpg_tests_found.add(stats.tests_found as u64);
+        m.atpg_aborted_calls.add(stats.aborted_calls as u64);
         for st in stages {
             if let Some(h) = m.stage(st.stage.label()) {
                 h.observe(st.seconds);

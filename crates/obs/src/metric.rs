@@ -530,6 +530,11 @@ pub struct OccMetrics {
     pub atpg_podem_calls: Arc<Counter>,
     /// PODEM searches that produced a test.
     pub atpg_tests_found: Arc<Counter>,
+    /// PODEM searches that ended at the backtrack limit.
+    pub atpg_aborted_calls: Arc<Counter>,
+    /// Speculative PODEM searches whose results were discarded because
+    /// an earlier commit already detected their fault.
+    pub atpg_speculative_discarded: Arc<Counter>,
 
     /// Cache hits by artifact kind ([`CACHE_KINDS`] order).
     pub cache_hits: [Arc<Counter>; 3],
@@ -597,6 +602,16 @@ impl OccMetrics {
         let atpg_tests_found = r.counter(
             "occ_atpg_tests_found_total",
             "PODEM searches that produced a test",
+            &[],
+        );
+        let atpg_aborted_calls = r.counter(
+            "occ_atpg_aborted_calls_total",
+            "PODEM searches that ended at the backtrack limit",
+            &[],
+        );
+        let atpg_speculative_discarded = r.counter(
+            "occ_atpg_speculative_discarded_total",
+            "Speculative PODEM searches discarded at in-order commit",
             &[],
         );
         let cache_hits = counter_set(
@@ -672,6 +687,8 @@ impl OccMetrics {
             atpg_events,
             atpg_podem_calls,
             atpg_tests_found,
+            atpg_aborted_calls,
+            atpg_speculative_discarded,
             cache_hits: arr3(cache_hits),
             cache_misses: arr3(cache_misses),
             cache_evictions: arr3(cache_evictions),
@@ -805,6 +822,8 @@ mod tests {
             "occ_atpg_events_total",
             "occ_atpg_podem_calls_total",
             "occ_atpg_tests_found_total",
+            "occ_atpg_aborted_calls_total",
+            "occ_atpg_speculative_discarded_total",
             "occ_cache_hits_total",
             "occ_cache_misses_total",
             "occ_cache_evictions_total",

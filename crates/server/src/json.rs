@@ -11,6 +11,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Protocol
+/// requests nest three levels at most; the cap keeps a hostile line
+/// (say, 40,000 `[`) from recursing the parser off its thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -51,11 +56,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns the byte offset and reason of the first syntax error.
+    /// Returns the byte offset and reason of the first syntax error,
+    /// or of the first array/object nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -221,6 +228,8 @@ pub fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'t> {
     bytes: &'t [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -265,8 +274,9 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -274,6 +284,16 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -473,5 +493,17 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!((err.at, err.reason), (MAX_DEPTH, "nesting too deep"));
+        // Far past the cap, unterminated: still a typed error, no
+        // stack overflow.
+        assert!(Json::parse(&"[{\"a\":".repeat(40_000)).is_err());
     }
 }

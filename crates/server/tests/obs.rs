@@ -50,6 +50,8 @@ fn metrics_stats_and_warm_job_deltas() {
         "occ_kernel_events_total",
         "occ_atpg_decisions_total",
         "occ_atpg_podem_calls_total",
+        "occ_atpg_aborted_calls_total",
+        "occ_atpg_speculative_discarded_total",
         "occ_cache_hits_total",
         "occ_cache_misses_total",
         "occ_requests_total",

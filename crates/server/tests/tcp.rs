@@ -232,6 +232,36 @@ fn binary_junk_frame_is_a_typed_bad_request() {
 }
 
 #[test]
+fn deeply_nested_line_is_a_typed_bad_request() {
+    // 40,000 `[` fit under the default line cap; parsed recursively
+    // without a depth bound they overflow the connection thread's
+    // stack and abort the whole daemon.
+    let mut server = test_server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut hostile = "[".repeat(40_000);
+    hostile.push('\n');
+    stream.write_all(hostile.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let v = Json::parse(&line).unwrap();
+    assert_eq!(
+        v.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str),
+        Some("bad-request"),
+        "{line}"
+    );
+
+    // The same daemon, on the same connection, still answers.
+    stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"op\":\"ping\""), "{line}");
+    server.shutdown();
+}
+
+#[test]
 fn deadline_exceeded_is_typed_and_prompt_while_others_complete() {
     // The first job to reach the flow.stage site sleeps "5 s" — but it
     // carries a 400 ms deadline, so the cooperative delay trips early
