@@ -9,8 +9,7 @@
 //! tracked in-repo.
 //!
 //! ```text
-//! atpg_bench [--flops N] [--faults N] [--limit B] [--reps N]
-//!            [--out PATH] [--check BASELINE.json]
+//! atpg_bench [--out PATH] [--check BASELINE.json]
 //! ```
 //!
 //! Four gates:
@@ -32,12 +31,12 @@
 //!   statuses and PODEM decision/backtrack counts must be identical.
 //!   Both ATPG-stage wall-clocks and the count of discarded speculative
 //!   searches land in the JSON as the `search` row (no timing gate).
-//! * **Speedup ratio** (with `--check`): the compiled-vs-reference
-//!   decisions/sec ratio — both engines make identical decisions, so
-//!   the ratio cancels out machine speed — must not regress more than
-//!   20% against the committed baseline. `ATPG_BENCH_SKIP_CHECK`
-//!   bypasses it on cold machines; the outcome and identity
-//!   cross-checks always run.
+//! * **Speedup ratio** (with `--check`, through [`occ_bench::gate`]):
+//!   the compiled-vs-reference decisions/sec ratio — both engines make
+//!   identical decisions, so the ratio cancels out machine speed — must
+//!   not regress more than 20% against the committed baseline.
+//!   `BENCH_SKIP_CHECK` bypasses it on cold machines; the outcome and
+//!   identity cross-checks always run.
 
 #[path = "../alloc_track.rs"]
 mod alloc_track;
@@ -49,6 +48,7 @@ use occ_atpg::{
     run_atpg, run_atpg_preclassified, AtpgEngine, AtpgOptions, AtpgResult, CompiledPodem,
     Observability, PodemOutcome, ReferencePodem,
 };
+use occ_bench::gate::{self, Gate};
 use occ_bench::{run_experiment, ExperimentId, Table1Options};
 use occ_core::ClockingMode;
 use occ_fault::FaultUniverse;
@@ -60,22 +60,22 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Allowed speedup-ratio drop vs the committed baseline.
-const REGRESSION_TOLERANCE: f64 = 0.20;
+/// Flops per clock domain of the seeded Table-1 SOC.
+const FLOPS: usize = 96;
+
+/// Target size of the strided transition-fault sample.
+const FAULTS: usize = 600;
+
+/// PODEM backtrack limit.
+const LIMIT: usize = 48;
+
+/// Timed passes per engine; the best counts.
+const REPS: usize = 2;
 
 /// Hard cap on compiled-engine allocations per PODEM decision. The
 /// steady state is ~0 (scratch is stamped and reused); the budget
 /// covers per-fault pattern construction and one-time warm-up growth.
 const MAX_ALLOCS_PER_DECISION: f64 = 4.0;
-
-struct Options {
-    flops: usize,
-    faults: usize,
-    limit: usize,
-    reps: usize,
-    out: String,
-    check: Option<String>,
-}
 
 struct EngineRow {
     engine: String,
@@ -113,65 +113,13 @@ struct SearchRow {
     patterns: usize,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        flops: 96,
-        faults: 600,
-        limit: 48,
-        reps: 2,
-        out: "BENCH_atpg.json".to_owned(),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--flops" => {
-                opts.flops = value("--flops")?
-                    .parse()
-                    .map_err(|e| format!("--flops: {e}"))?;
-            }
-            "--faults" => {
-                let n: usize = value("--faults")?
-                    .parse()
-                    .map_err(|e| format!("--faults: {e}"))?;
-                if n == 0 {
-                    return Err("--faults must be positive".to_owned());
-                }
-                opts.faults = n;
-            }
-            "--limit" => {
-                opts.limit = value("--limit")?
-                    .parse()
-                    .map_err(|e| format!("--limit: {e}"))?;
-            }
-            "--reps" => {
-                let n: usize = value("--reps")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
-                if n == 0 {
-                    return Err("--reps must be positive".to_owned());
-                }
-                opts.reps = n;
-            }
-            "--out" => opts.out = value("--out")?,
-            "--check" => opts.check = Some(value("--check")?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("atpg_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let gate = match Gate::from_env(&gate::ATPG) {
+        Ok(g) => g,
+        Err(code) => return code,
     };
 
-    let soc = generate(&SocConfig::paper_like(20050307, opts.flops));
+    let soc = generate(&SocConfig::paper_like(20050307, FLOPS));
     let model =
         CaptureModel::new(soc.netlist(), soc.binding(true)).expect("generated SOC always binds");
     let domains: Vec<usize> = (0..model.domain_count()).collect();
@@ -181,10 +129,10 @@ fn main() -> ExitCode {
     let obs = Observability::compute(&model, &spec);
 
     // A strided sample of the universe, so the run touches cones from
-    // every block of the design at any --faults budget.
+    // every block of the design.
     let universe = FaultUniverse::transition(soc.netlist());
     let all = universe.faults();
-    let stride = (all.len() / opts.faults).max(1);
+    let stride = (all.len() / FAULTS).max(1);
     let faults: Vec<occ_fault::Fault> = all.iter().copied().step_by(stride).collect();
     println!(
         "atpg_bench: {} — {} cells, {} of {} faults (stride {}), limit {}",
@@ -193,7 +141,7 @@ fn main() -> ExitCode {
         faults.len(),
         all.len(),
         stride,
-        opts.limit,
+        LIMIT,
     );
 
     let mut rows: Vec<EngineRow> = Vec::new();
@@ -202,7 +150,7 @@ fn main() -> ExitCode {
     // Reference (retained scalar) engine.
     {
         let mut engine = ReferencePodem::new(&model);
-        let (row, outs) = run_engine("reference", &mut engine, &spec, &obs, &faults, &opts);
+        let (row, outs) = run_engine("reference", &mut engine, &spec, &obs, &faults);
         rows.push(row);
         outcomes.push(("reference".to_owned(), outs));
     }
@@ -210,7 +158,7 @@ fn main() -> ExitCode {
     // Compiled incremental engine.
     {
         let mut engine = CompiledPodem::new(&model);
-        let (row, outs) = run_engine("compiled", &mut engine, &spec, &obs, &faults, &opts);
+        let (row, outs) = run_engine("compiled", &mut engine, &spec, &obs, &faults);
         rows.push(row);
         outcomes.push(("compiled".to_owned(), outs));
     }
@@ -268,7 +216,7 @@ fn main() -> ExitCode {
 
     // Lint-pruned identity gate: the lint → pre-classified flow must
     // skip searches without changing a single pattern byte.
-    let lint = match run_lint_pruned(&soc, &model, &spec, &opts) {
+    let lint = match run_lint_pruned(&soc, &model, &spec) {
         Ok(row) => row,
         Err(e) => {
             eprintln!("atpg_bench: FATAL — lint-pruned flow: {e}");
@@ -288,7 +236,7 @@ fn main() -> ExitCode {
 
     // Parallel-search identity gate: thread count changes how fast the
     // row is searched, never what it produces.
-    let search = match run_search_row(&soc, &opts) {
+    let search = match run_search_row(&soc) {
         Ok(row) => row,
         Err(e) => {
             eprintln!("atpg_bench: FATAL — parallel search: {e}");
@@ -310,7 +258,6 @@ fn main() -> ExitCode {
 
     let peak_rss = alloc_track::peak_rss_kb();
     let json = to_json(
-        &opts,
         &soc,
         faults.len(),
         tests_found,
@@ -321,19 +268,10 @@ fn main() -> ExitCode {
         allocs_per_decision,
         peak_rss,
     );
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("atpg_bench: cannot write {}: {e}", opts.out);
-        return ExitCode::FAILURE;
-    }
-    println!("  wrote {}", opts.out);
-
-    if let Some(baseline) = &opts.check {
-        return check_regression(baseline, faults.len(), speedup);
-    }
-    ExitCode::SUCCESS
+    gate.finish(&json, &[])
 }
 
-/// Runs one engine over the fault sample `reps` times, keeping the
+/// Runs one engine over the fault sample [`REPS`] times, keeping the
 /// best wall-clock and the first rep's outcomes + allocation delta.
 fn run_engine(
     name: &str,
@@ -341,17 +279,16 @@ fn run_engine(
     spec: &FrameSpec,
     obs: &Observability,
     faults: &[occ_fault::Fault],
-    opts: &Options,
 ) -> (EngineRow, Vec<PodemOutcome>) {
     let mut best = f64::INFINITY;
     let mut outcomes = Vec::new();
     let mut delta = alloc_track::AllocSnapshot::default();
-    for rep in 0..opts.reps {
+    for rep in 0..REPS {
         let before = alloc_track::snapshot();
         let t0 = Instant::now();
         let outs: Vec<PodemOutcome> = faults
             .iter()
-            .map(|&f| engine.run(spec, obs, f, opts.limit))
+            .map(|&f| engine.run(spec, obs, f, LIMIT))
             .collect();
         best = best.min(t0.elapsed().as_secs_f64());
         if rep == 0 {
@@ -360,7 +297,7 @@ fn run_engine(
         }
     }
     let stats = engine.kernel_stats();
-    let reps = opts.reps as u64;
+    let reps = REPS as u64;
     let decisions = stats.decisions / reps;
     let secs = best.max(1e-9);
     (
@@ -387,7 +324,6 @@ fn run_lint_pruned(
     soc: &occ_soc::Soc,
     model: &CaptureModel<'_>,
     spec: &FrameSpec,
-    opts: &Options,
 ) -> Result<LintRow, String> {
     let universe = FaultUniverse::transition(soc.netlist());
     let report = Linter::new(model)
@@ -396,7 +332,7 @@ fn run_lint_pruned(
         .run_with_universe(&universe);
     let options = AtpgOptions {
         random_patterns: 64,
-        backtrack_limit: opts.limit,
+        backtrack_limit: LIMIT,
         ..AtpgOptions::default()
     };
     let procedures = std::slice::from_ref(spec);
@@ -442,11 +378,11 @@ fn run_lint_pruned(
 /// Runs Table-1 row (d) with its search on one thread and on every
 /// available thread, and hard-gates on identical patterns, per-fault
 /// statuses and PODEM work.
-fn run_search_row(soc: &occ_soc::Soc, opts: &Options) -> Result<SearchRow, String> {
+fn run_search_row(soc: &occ_soc::Soc) -> Result<SearchRow, String> {
     let run = |engine: EngineChoice| -> Result<FlowReport, String> {
         let options = Table1Options {
-            flops_per_domain: opts.flops,
-            backtrack_limit: opts.limit,
+            flops_per_domain: FLOPS,
+            backtrack_limit: LIMIT,
             engine,
             ..Table1Options::default()
         };
@@ -531,7 +467,6 @@ fn check_identical(
 
 #[allow(clippy::too_many_arguments)]
 fn to_json(
-    opts: &Options,
     soc: &occ_soc::Soc,
     faults: usize,
     tests_found: usize,
@@ -551,8 +486,8 @@ fn to_json(
         soc.netlist().len(),
         faults,
         tests_found,
-        opts.flops,
-        opts.limit,
+        FLOPS,
+        LIMIT,
     );
     match peak_rss_kb {
         Some(kb) => {
@@ -616,62 +551,4 @@ fn to_json(
          \"speedup_compiled_vs_reference\":{speedup:.3}}}"
     );
     out
-}
-
-/// Compares the fresh speedup ratio against the committed baseline.
-/// The ratio cancels out machine speed (both engines make identical
-/// decisions on the same machine), so it trips only on a genuine
-/// compiled-engine regression.
-fn check_regression(path: &str, faults: usize, fresh_ratio: f64) -> ExitCode {
-    let skip = std::env::var("ATPG_BENCH_SKIP_CHECK").is_ok_and(|v| !v.is_empty());
-    if skip {
-        println!("  regression check skipped (ATPG_BENCH_SKIP_CHECK set)");
-        return ExitCode::SUCCESS;
-    }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("atpg_bench: cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let base_faults = extract_number(&text, "\"faults\":");
-    if base_faults.is_some_and(|b| b as usize != faults) {
-        println!(
-            "  baseline {path} was produced with a different config \
-             ({:?} vs {faults} faults) — regression check skipped; \
-             regenerate the baseline",
-            base_faults.map(|b| b as usize)
-        );
-        return ExitCode::SUCCESS;
-    }
-    let Some(base_ratio) = extract_number(&text, "\"speedup_compiled_vs_reference\":") else {
-        eprintln!("atpg_bench: no speedup_compiled_vs_reference in baseline {path}");
-        return ExitCode::FAILURE;
-    };
-    let floor = base_ratio * (1.0 - REGRESSION_TOLERANCE);
-    println!(
-        "  speedup ratio: fresh {fresh_ratio:.2}x vs baseline {base_ratio:.2}x \
-         (floor {floor:.2}x)"
-    );
-    if fresh_ratio < floor {
-        eprintln!(
-            "atpg_bench: REGRESSION — compiled-vs-reference speedup dropped \
-             more than {:.0}% below the committed baseline (set \
-             ATPG_BENCH_SKIP_CHECK=1 to bypass on cold machines)",
-            REGRESSION_TOLERANCE * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parses the number following the first occurrence of `key`.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(key)? + key.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

@@ -10,7 +10,7 @@
 //! `BENCH_bist.json` so the embedded-test quality is tracked in-repo.
 //!
 //! ```text
-//! bist_bench [--flops N] [--out PATH] [--check BASELINE.json]
+//! bist_bench [--out PATH] [--check BASELINE.json]
 //! ```
 //!
 //! Three gates:
@@ -20,18 +20,20 @@
 //!   x_masked == kernel_detected` — a compacted detection that is not
 //!   a kernel detection (or a loss that is not explained) is a grading
 //!   bug, not a perf problem.
-//! * **Quality floors** (always on, deterministic for a fixed seed):
-//!   the EDT compression ratio must be at least [`COMPRESSION_FLOOR`],
-//!   and LBIST coverage must not *decrease* when the pattern budget
-//!   grows from 1k to 10k. `BIST_BENCH_SKIP_CHECK` bypasses these.
-//! * **Regression** (with `--check`): compression ratio and both LBIST
-//!   coverage points must not drop below the committed baseline beyond
-//!   a small tolerance — all three are deterministic given the seed,
-//!   so a drop is a real change in delivery quality, never machine
-//!   noise. Throughput is recorded but not gated (machine-dependent).
-//!   `BIST_BENCH_SKIP_CHECK` bypasses this too.
+//! * **Quality floors** (deterministic for a fixed seed): the EDT
+//!   compression ratio must be at least [`COMPRESSION_FLOOR`], and
+//!   LBIST coverage must not *decrease* when the pattern budget grows
+//!   from 1k to 10k. `BENCH_SKIP_CHECK` bypasses these.
+//! * **Regression** (with `--check`, through [`occ_bench::gate`]): the
+//!   compression ratio must stay within 10% and both LBIST coverage
+//!   points within half a point of the committed baseline — all three
+//!   are deterministic given the seed, so a drop is a real change in
+//!   delivery quality, never machine noise. Throughput is recorded but
+//!   not gated (machine-dependent). `BENCH_SKIP_CHECK` bypasses this
+//!   too.
 
 use occ_atpg::AtpgOptions;
+use occ_bench::gate::{self, Gate};
 use occ_core::ClockingMode;
 use occ_flow::{BistConfig, EdtConfig, FlowReport, PatternSource};
 use occ_server::{FlowService, JobSpec};
@@ -47,52 +49,13 @@ const TABLE1_SEED: u64 = 20050307;
 /// auto-derived geometry (chains over channels; deterministic).
 const COMPRESSION_FLOOR: f64 = 4.0;
 
-/// Allowed LBIST coverage drop vs the committed baseline, in points.
-const COVERAGE_TOLERANCE_PTS: f64 = 0.5;
-
-/// Allowed compression-ratio drop vs the committed baseline.
-const RATIO_TOLERANCE: f64 = 0.10;
-
-struct Options {
-    flops: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        flops: 48,
-        out: "BENCH_bist.json".to_owned(),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--flops" => {
-                opts.flops = value("--flops")?
-                    .parse()
-                    .map_err(|e| format!("--flops: {e}"))?;
-                if opts.flops == 0 {
-                    return Err("--flops must be positive".to_owned());
-                }
-            }
-            "--out" => opts.out = value("--out")?,
-            "--check" => opts.check = Some(value("--check")?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
-}
+/// Flops per clock domain of the seeded Table-1 SOC.
+const FLOPS: usize = 48;
 
 /// Submits one flow job for `source` and returns the report plus the
 /// wall-clock patterns/sec of the whole flow.
-fn run_source(
-    service: &FlowService,
-    flops: usize,
-    source: PatternSource,
-) -> (FlowReport, f64, f64) {
-    let mut job = JobSpec::new(SocConfig::paper_like(TABLE1_SEED, flops));
+fn run_source(service: &FlowService, source: PatternSource) -> (FlowReport, f64, f64) {
+    let mut job = JobSpec::new(SocConfig::paper_like(TABLE1_SEED, FLOPS));
     job.clocking = ClockingMode::SimpleCpf;
     job.mask_bidi = true;
     job.atpg = AtpgOptions {
@@ -134,25 +97,17 @@ fn refereed(report: &FlowReport, what: &str) -> bool {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("bist_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let gate = match Gate::from_env(&gate::BIST) {
+        Ok(g) => g,
+        Err(code) => return code,
     };
-    let skip = std::env::var("BIST_BENCH_SKIP_CHECK").is_ok_and(|v| !v.is_empty());
 
     // One service: the design compiles once and every source job after
     // the first reuses the cached simulation graph, so the per-source
     // timings compare delivery cost, not compile cost.
     let service = FlowService::new(0);
-    let (external, ext_secs, ext_pps) =
-        run_source(&service, opts.flops, PatternSource::ExternalAtpg);
-    println!(
-        "bist_bench: {} — {} flops/domain",
-        external.design, opts.flops
-    );
+    let (external, ext_secs, ext_pps) = run_source(&service, PatternSource::ExternalAtpg);
+    println!("bist_bench: {} — {FLOPS} flops/domain", external.design);
     println!(
         "  external {ext_pps:>8.1} patterns/s ({} patterns, {ext_secs:.2}s, \
          coverage {:.2}%)",
@@ -160,8 +115,7 @@ fn main() -> ExitCode {
         external.coverage_pct(),
     );
 
-    let (edt, edt_secs, edt_pps) =
-        run_source(&service, opts.flops, PatternSource::Edt(EdtConfig::auto()));
+    let (edt, edt_secs, edt_pps) = run_source(&service, PatternSource::Edt(EdtConfig::auto()));
     let compression = edt
         .pattern_source
         .as_ref()
@@ -176,7 +130,6 @@ fn main() -> ExitCode {
     let lbist_at = |patterns: usize| {
         run_source(
             &service,
-            opts.flops,
             PatternSource::Lbist(BistConfig {
                 patterns,
                 ..BistConfig::default()
@@ -194,7 +147,7 @@ fn main() -> ExitCode {
     );
 
     // Correctness gate: always on, independent of machine and skip
-    // flags — an unexplained detection loss is a bug.
+    // switch — an unexplained detection loss is a bug.
     for (report, what) in [
         (&edt, "edt"),
         (&lbist_1k, "lbist@1k"),
@@ -214,7 +167,7 @@ fn main() -> ExitCode {
          \"edt\":{{\"patterns\":{},\"patterns_per_sec\":{edt_pps:.1},\
          \"coverage_pct\":{:.2},\"compression_ratio\":{compression:.2}}},",
         external.design,
-        opts.flops,
+        FLOPS,
         external.patterns(),
         external.coverage_pct(),
         edt.patterns(),
@@ -225,97 +178,12 @@ fn main() -> ExitCode {
         "\"lbist\":{{\"patterns_per_sec\":{lb10_pps:.1},\
          \"coverage_pct_1k\":{cov_1k:.2},\"coverage_pct_10k\":{cov_10k:.2}}}}}",
     );
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("bist_bench: cannot write {}: {e}", opts.out);
-        return ExitCode::FAILURE;
-    }
-    println!("  wrote {}", opts.out);
-
-    if skip {
-        println!("  quality gates skipped (BIST_BENCH_SKIP_CHECK set)");
-        return ExitCode::SUCCESS;
-    }
-    if compression < COMPRESSION_FLOOR {
-        eprintln!(
-            "bist_bench: REGRESSION — EDT compression ratio is only \
-             {compression:.1}x (floor {COMPRESSION_FLOOR}x; set \
-             BIST_BENCH_SKIP_CHECK=1 to bypass)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if cov_10k < cov_1k {
-        eprintln!(
-            "bist_bench: REGRESSION — LBIST coverage dropped from {cov_1k:.2}% \
-             at 1k patterns to {cov_10k:.2}% at 10k; a bigger pseudo-random \
-             budget must never lose detections"
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Some(baseline) = &opts.check {
-        return check_regression(baseline, &opts, compression, cov_1k, cov_10k);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Compares the deterministic quality numbers against the committed
-/// baseline: compression ratio and LBIST coverage are seed-determined,
-/// so a drop is a real delivery-quality change, not machine noise.
-fn check_regression(
-    path: &str,
-    opts: &Options,
-    compression: f64,
-    cov_1k: f64,
-    cov_10k: f64,
-) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bist_bench: cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if extract_number(&text, "\"flops_per_domain\":").is_some_and(|b| b as usize != opts.flops) {
-        println!(
-            "  baseline {path} was produced with a different config — \
-             regression check skipped; regenerate the baseline"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let checks = [
-        ("\"compression_ratio\":", compression, RATIO_TOLERANCE, "x"),
-        ("\"coverage_pct_1k\":", cov_1k, 0.0, "%"),
-        ("\"coverage_pct_10k\":", cov_10k, 0.0, "%"),
-    ];
-    for (key, fresh, rel_tol, unit) in checks {
-        let Some(base) = extract_number(&text, key) else {
-            eprintln!("bist_bench: no {key} in baseline {path}");
-            return ExitCode::FAILURE;
-        };
-        // Coverage floors are absolute points; the ratio floor is
-        // relative.
-        let floor = if rel_tol > 0.0 {
-            base * (1.0 - rel_tol)
-        } else {
-            base - COVERAGE_TOLERANCE_PTS
-        };
-        println!("  {key} fresh {fresh:.2}{unit} vs baseline {base:.2}{unit} (floor {floor:.2})");
-        if fresh < floor {
-            eprintln!(
-                "bist_bench: REGRESSION — {key} dropped below the committed \
-                 baseline (set BIST_BENCH_SKIP_CHECK=1 to bypass)"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parses the number following the first occurrence of `key`.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(key)? + key.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    // A bigger pseudo-random budget must never lose detections.
+    gate.finish(
+        &json,
+        &[
+            ("EDT compression ratio", compression, COMPRESSION_FLOOR),
+            ("LBIST 10k-pattern coverage vs 1k", cov_10k, cov_1k),
+        ],
+    )
 }

@@ -9,14 +9,15 @@
 //! is tracked in-repo.
 //!
 //! ```text
-//! fsim_bench [--flops N] [--patterns N] [--threads N]
-//!            [--out PATH] [--check BASELINE.json]
+//! fsim_bench [--out PATH] [--check BASELINE.json]
 //! ```
 //!
-//! With `--check`, the freshly measured kernel faults/sec is compared
-//! against the committed baseline: a regression of more than 20% fails
-//! the run (exit 1) unless `FSIM_BENCH_SKIP_CHECK` is set in the
-//! environment (for cold/overloaded machines).
+//! With `--check`, the [`occ_bench::gate`] compares the
+//! kernel-vs-reference speedup ratio with the committed baseline: it
+//! cancels out machine speed, and a drop of more than 20% fails the
+//! run (exit 1) unless `BENCH_SKIP_CHECK` is set (for cold/overloaded
+//! machines). The kernel's absolute faults/sec is reported against
+//! its floor too, but missing it alone only means slower hardware.
 //!
 //! A hardware-independent gate (never skipped) re-runs the kernel with
 //! an `occ_obs` detail span recorder installed and asserts span
@@ -30,6 +31,7 @@ mod alloc_track;
 #[global_allocator]
 static ALLOC: alloc_track::CountingAlloc = alloc_track::CountingAlloc;
 
+use occ_bench::gate::{self, Gate};
 use occ_fault::FaultUniverse;
 use occ_fsim::{
     simulate_good, CaptureModel, FaultSim, FrameSpec, ParallelFaultSim, Pattern, ReferenceFaultSim,
@@ -42,17 +44,14 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Allowed kernel faults/sec drop vs the committed baseline.
-const REGRESSION_TOLERANCE: f64 = 0.20;
+/// Flops per clock domain of the seeded Table-1 SOC.
+const FLOPS: usize = 256;
 
-struct Options {
-    flops: usize,
-    patterns: usize,
-    threads: usize,
-    reps: usize,
-    out: String,
-    check: Option<String>,
-}
+/// Random patterns graded per pass: one 64-lane word.
+const PATTERNS: usize = 64;
+
+/// Timed passes per engine; the best counts.
+const REPS: usize = 3;
 
 struct EngineRow {
     engine: String,
@@ -65,65 +64,14 @@ struct EngineRow {
     events: u64,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        flops: 256,
-        patterns: 64,
-        threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        reps: 3,
-        out: "BENCH_fsim.json".to_owned(),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--flops" => {
-                opts.flops = value("--flops")?
-                    .parse()
-                    .map_err(|e| format!("--flops: {e}"))?;
-            }
-            "--patterns" => {
-                let n: usize = value("--patterns")?
-                    .parse()
-                    .map_err(|e| format!("--patterns: {e}"))?;
-                if n == 0 || n > 64 {
-                    return Err("--patterns must be 1..=64".to_owned());
-                }
-                opts.patterns = n;
-            }
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--reps" => {
-                let n: usize = value("--reps")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
-                if n == 0 {
-                    return Err("--reps must be positive".to_owned());
-                }
-                opts.reps = n;
-            }
-            "--out" => opts.out = value("--out")?,
-            "--check" => opts.check = Some(value("--check")?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("fsim_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let gate = match Gate::from_env(&gate::FSIM) {
+        Ok(g) => g,
+        Err(code) => return code,
     };
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
-    let soc = generate(&SocConfig::paper_like(20050307, opts.flops));
+    let soc = generate(&SocConfig::paper_like(20050307, FLOPS));
     let model =
         CaptureModel::new(soc.netlist(), soc.binding(true)).expect("generated SOC always binds");
     let domains: Vec<usize> = (0..model.domain_count()).collect();
@@ -132,7 +80,7 @@ fn main() -> ExitCode {
         .observe_po(false);
 
     let mut rng = StdRng::seed_from_u64(0x0CC);
-    let patterns: Vec<Pattern> = (0..opts.patterns)
+    let patterns: Vec<Pattern> = (0..PATTERNS)
         .map(|_| {
             let mut p = Pattern::empty(&model, &spec, 0);
             p.fill_x(|| Logic::from_bool(rng.gen_bool(0.5)));
@@ -150,21 +98,20 @@ fn main() -> ExitCode {
         soc.netlist().name(),
         soc.netlist().len(),
         nf,
-        opts.patterns,
+        PATTERNS,
         good_secs,
-        opts.patterns as f64 / good_secs.max(1e-9),
+        PATTERNS as f64 / good_secs.max(1e-9),
     );
 
     let mut rows: Vec<EngineRow> = Vec::new();
     let mut masks: Vec<(String, Vec<u64>)> = Vec::new();
-    let reps = opts.reps;
 
     // Reference (pre-kernel) engine.
     {
         let before = alloc_track::snapshot();
         let mut engine = ReferenceFaultSim::new(&model);
-        let (secs, m, d) = time_best(reps, before, || engine.detect_many(&spec, &good, &faults));
-        rows.push(row("reference", secs, nf, opts.patterns, d, 0, 0));
+        let (secs, m, d) = time_best(before, || engine.detect_many(&spec, &good, &faults));
+        rows.push(row("reference", secs, nf, d, 0, 0));
         masks.push(("reference".to_owned(), m));
     }
 
@@ -172,16 +119,15 @@ fn main() -> ExitCode {
     {
         let before = alloc_track::snapshot();
         let mut engine = FaultSim::new(&model);
-        let (secs, m, d) = time_best(reps, before, || engine.detect_many(&spec, &good, &faults));
+        let (secs, m, d) = time_best(before, || engine.detect_many(&spec, &good, &faults));
         let stats = engine.kernel_stats();
         rows.push(row(
             "kernel",
             secs,
             nf,
-            opts.patterns,
             d,
-            stats.cone_pruned / reps as u64,
-            stats.events / reps as u64,
+            stats.cone_pruned / REPS as u64,
+            stats.events / REPS as u64,
         ));
         masks.push(("kernel".to_owned(), m));
     }
@@ -189,19 +135,18 @@ fn main() -> ExitCode {
     // Sharded scheduler on the kernel.
     {
         let before = alloc_track::snapshot();
-        let engine = ParallelFaultSim::with_threads(&model, opts.threads);
-        let (secs, m, d) = time_best(reps, before, || engine.detect_many(&spec, &good, &faults));
+        let engine = ParallelFaultSim::with_threads(&model, threads);
+        let (secs, m, d) = time_best(before, || engine.detect_many(&spec, &good, &faults));
         let stats = engine.kernel_stats();
         rows.push(row(
-            &format!("sharded:{}", opts.threads),
+            &format!("sharded:{threads}"),
             secs,
             nf,
-            opts.patterns,
             d,
-            stats.cone_pruned / reps as u64,
-            stats.events / reps as u64,
+            stats.cone_pruned / REPS as u64,
+            stats.events / REPS as u64,
         ));
-        masks.push((format!("sharded:{}", opts.threads), m));
+        masks.push((format!("sharded:{threads}"), m));
     }
 
     // Zero-alloc traced-span gate: the same warm kernel batch, with
@@ -280,31 +225,20 @@ fn main() -> ExitCode {
     println!("  kernel vs reference speedup: {speedup:.2}x");
 
     let peak_rss = alloc_track::peak_rss_kb();
-    let json = to_json(&opts, &soc, nf, good_secs, &rows, speedup, peak_rss);
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("fsim_bench: cannot write {}: {e}", opts.out);
-        return ExitCode::FAILURE;
-    }
-    println!("  wrote {}", opts.out);
-
-    if let Some(baseline) = &opts.check {
-        return check_regression(baseline, nf, rows[1].faults_per_sec, speedup);
-    }
-    ExitCode::SUCCESS
+    gate.finish(&to_json(&soc, nf, good_secs, &rows, speedup, peak_rss), &[])
 }
 
-/// Runs `f` `reps` times, returning the best wall-clock time, the
+/// Runs `f` [`REPS`] times, returning the best wall-clock time, the
 /// first run's masks and the allocation delta of the first run
 /// (engine construction + one full grading pass) since `before`.
 fn time_best<F: FnMut() -> Vec<u64>>(
-    reps: usize,
     before: alloc_track::AllocSnapshot,
     mut f: F,
 ) -> (f64, Vec<u64>, alloc_track::AllocSnapshot) {
     let mut best = f64::INFINITY;
     let mut masks = Vec::new();
     let mut delta = alloc_track::AllocSnapshot::default();
-    for i in 0..reps {
+    for i in 0..REPS {
         let t = Instant::now();
         let m = f();
         best = best.min(t.elapsed().as_secs_f64());
@@ -316,12 +250,10 @@ fn time_best<F: FnMut() -> Vec<u64>>(
     (best, masks, delta)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn row(
     engine: &str,
     seconds: f64,
     faults: usize,
-    patterns: usize,
     d: alloc_track::AllocSnapshot,
     cone_pruned: u64,
     events: u64,
@@ -331,7 +263,7 @@ fn row(
         engine: engine.to_owned(),
         seconds,
         faults_per_sec: faults as f64 / secs,
-        pattern_faults_per_sec: (faults * patterns) as f64 / secs,
+        pattern_faults_per_sec: (faults * PATTERNS) as f64 / secs,
         allocs: d.allocs,
         alloc_bytes: d.bytes,
         cone_pruned,
@@ -340,7 +272,6 @@ fn row(
 }
 
 fn to_json(
-    opts: &Options,
     soc: &occ_soc::Soc,
     faults: usize,
     good_secs: f64,
@@ -357,10 +288,10 @@ fn to_json(
         soc.netlist().name(),
         soc.netlist().len(),
         faults,
-        opts.patterns,
-        opts.flops,
+        PATTERNS,
+        FLOPS,
         good_secs,
-        opts.patterns as f64 / good_secs.max(1e-9),
+        PATTERNS as f64 / good_secs.max(1e-9),
     );
     match peak_rss_kb {
         Some(kb) => {
@@ -392,106 +323,4 @@ fn to_json(
     }
     let _ = writeln!(out, "],\"speedup_kernel_vs_reference\":{speedup:.3}}}");
     out
-}
-
-/// Compares the fresh kernel throughput against the committed baseline.
-///
-/// The primary gate is the **hardware-normalized kernel-vs-reference
-/// speedup ratio**: it cancels out machine speed, so it trips on a
-/// genuine kernel regression no matter whether the runner is faster or
-/// slower than the baseline machine, and it is checked unconditionally.
-/// The absolute faults/sec floor is reported alongside; missing it
-/// while the ratio holds is a warning only (expected whenever the
-/// runner is simply slower than the machine that committed the
-/// baseline — a uniform both-engine slowdown on identical hardware is
-/// indistinguishable from that, which is the accepted blind spot).
-fn check_regression(path: &str, faults: usize, fresh_fps: f64, fresh_ratio: f64) -> ExitCode {
-    let skip = std::env::var("FSIM_BENCH_SKIP_CHECK").is_ok_and(|v| !v.is_empty());
-    if skip {
-        println!("  regression check skipped (FSIM_BENCH_SKIP_CHECK set)");
-        return ExitCode::SUCCESS;
-    }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fsim_bench: cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let base_faults = extract_number(&text, "\"faults\":");
-    if base_faults.is_some_and(|b| b as usize != faults) {
-        println!(
-            "  baseline {path} was produced with a different config \
-             ({:?} vs {faults} faults) — regression check skipped; \
-             regenerate the baseline",
-            base_faults.map(|b| b as usize)
-        );
-        return ExitCode::SUCCESS;
-    }
-    let Some(base_fps) = kernel_faults_per_sec(&text) else {
-        eprintln!("fsim_bench: no kernel faults_per_sec in baseline {path}");
-        return ExitCode::FAILURE;
-    };
-    let floor = base_fps * (1.0 - REGRESSION_TOLERANCE);
-    println!(
-        "  regression check: fresh {fresh_fps:.0} vs baseline {base_fps:.0} \
-         faults/s (floor {floor:.0})"
-    );
-
-    // Primary, hardware-independent gate: the kernel-vs-reference
-    // speedup ratio (checked unconditionally — a fast runner must not
-    // mask a relative kernel regression).
-    if let Some(base_ratio) = extract_number(&text, "\"speedup_kernel_vs_reference\":") {
-        let ratio_floor = base_ratio * (1.0 - REGRESSION_TOLERANCE);
-        println!(
-            "  speedup ratio: fresh {fresh_ratio:.2}x vs baseline \
-             {base_ratio:.2}x (floor {ratio_floor:.2}x)"
-        );
-        if fresh_ratio < ratio_floor {
-            eprintln!(
-                "fsim_bench: REGRESSION — kernel-vs-reference speedup \
-                 dropped more than {:.0}% below the committed baseline \
-                 (set FSIM_BENCH_SKIP_CHECK=1 to bypass on cold machines)",
-                REGRESSION_TOLERANCE * 100.0
-            );
-            return ExitCode::FAILURE;
-        }
-        if fresh_fps < floor {
-            println!(
-                "  note: absolute faults/sec below the baseline floor but \
-                 the speedup ratio holds — treating as slower hardware, \
-                 not a kernel regression"
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // No ratio in the baseline: the absolute floor is all we have.
-    if fresh_fps < floor {
-        eprintln!(
-            "fsim_bench: REGRESSION — kernel faults/sec dropped more than \
-             {:.0}% below the committed baseline (set FSIM_BENCH_SKIP_CHECK=1 \
-             to bypass on cold machines)",
-            REGRESSION_TOLERANCE * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Pulls the `faults_per_sec` of the `"engine":"kernel"` row out of a
-/// baseline JSON (hand-rolled: the workspace builds without serde).
-fn kernel_faults_per_sec(json: &str) -> Option<f64> {
-    let at = json.find("\"engine\":\"kernel\"")?;
-    extract_number(&json[at..], "\"faults_per_sec\":")
-}
-
-/// Parses the number following the first occurrence of `key`.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(key)? + key.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

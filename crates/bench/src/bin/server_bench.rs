@@ -28,9 +28,7 @@
 //! throughputs so the claim is checked on every run.
 //!
 //! ```text
-//! server_bench [--flops N] [--clients N] [--designs M] [--rounds R]
-//!              [--flow-flops N] [--degraded-jobs N]
-//!              [--out PATH] [--check BASELINE.json]
+//! server_bench [--out PATH] [--check BASELINE.json]
 //! ```
 //!
 //! Five gates:
@@ -41,7 +39,7 @@
 //! * **Hard floor**: warm jobs/sec must be at least
 //!   [`WARM_FLOOR`]x cold — the ratio cancels machine speed (both
 //!   sides ran on this machine); in practice it is orders of magnitude
-//!   above the floor. `SERVER_BENCH_SKIP_CHECK` bypasses it.
+//!   above the floor. `BENCH_SKIP_CHECK` bypasses it.
 //! * **Availability** (always on, hardware-independent): under the
 //!   injected panic storm, every degraded-mode request must be
 //!   answered ([`AVAILABILITY_FLOOR`]), and at least
@@ -52,11 +50,12 @@
 //!   per-job tracing on must run within [`OBS_OVERHEAD_CEILING_PCT`]
 //!   of the untraced rate — span recording growing a real cost is a
 //!   regression in the recorder, not a machine-speed question.
-//! * **Regression** (with `--check`): the warm/cold ratio must not
-//!   drop more than 20% below the committed baseline.
-//!   `SERVER_BENCH_SKIP_CHECK` bypasses it.
+//! * **Regression** (with `--check`, through [`occ_bench::gate`]): the
+//!   warm/cold ratio must not drop more than 20% below the committed
+//!   baseline. `BENCH_SKIP_CHECK` bypasses it.
 
 use occ_atpg::AtpgOptions;
+use occ_bench::gate::{self, Gate};
 use occ_core::ClockingMode;
 use occ_server::{
     request, serve, FaultAction, FaultPlan, FlowService, JobSpec, ServerConfig, Trigger,
@@ -74,8 +73,23 @@ const TABLE1_SEED: u64 = 20050307;
 /// Minimum warm-over-cold jobs/sec ratio.
 const WARM_FLOOR: f64 = 2.0;
 
-/// Allowed ratio drop vs the committed baseline.
-const REGRESSION_TOLERANCE: f64 = 0.20;
+/// Flops per clock domain of the analyzed designs.
+const FLOPS: usize = 120;
+
+/// Concurrent client threads, and daemon workers in the degraded phase.
+const CLIENTS: usize = 4;
+
+/// Distinct designs of the Table-1 SOC family compiled cold.
+const DESIGNS: usize = 32;
+
+/// Warm replays of every design.
+const ROUNDS: usize = 3_125;
+
+/// Flops per clock domain of the cold-vs-warm flow job.
+const FLOW_FLOPS: usize = 48;
+
+/// Requests sent to the daemon in the degraded phase.
+const DEGRADED_JOBS: usize = 400;
 
 /// Injected worker-panic probability for the degraded-mode phase.
 const DEGRADED_PANIC_P: f64 = 0.10;
@@ -109,55 +123,6 @@ const OBS_OVERHEAD_CEILING_PCT: f64 = 5.0;
 /// upper tail.
 const OBS_QUADS: usize = 12;
 
-struct Options {
-    flops: usize,
-    clients: usize,
-    designs: usize,
-    rounds: usize,
-    flow_flops: usize,
-    degraded_jobs: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        flops: 120,
-        clients: 4,
-        designs: 32,
-        rounds: 3_125,
-        flow_flops: 48,
-        degraded_jobs: 400,
-        out: "BENCH_server.json".to_owned(),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
-        let positive = |name: &str, v: String| -> Result<usize, String> {
-            let n: usize = v.parse().map_err(|e| format!("{name}: {e}"))?;
-            if n == 0 {
-                return Err(format!("{name} must be positive"));
-            }
-            Ok(n)
-        };
-        match arg.as_str() {
-            "--flops" => opts.flops = positive("--flops", value("--flops")?)?,
-            "--clients" => opts.clients = positive("--clients", value("--clients")?)?,
-            "--designs" => opts.designs = positive("--designs", value("--designs")?)?,
-            "--rounds" => opts.rounds = positive("--rounds", value("--rounds")?)?,
-            "--flow-flops" => opts.flow_flops = positive("--flow-flops", value("--flow-flops")?)?,
-            "--degraded-jobs" => {
-                opts.degraded_jobs = positive("--degraded-jobs", value("--degraded-jobs")?)?;
-            }
-            "--out" => opts.out = value("--out")?,
-            "--check" => opts.check = Some(value("--check")?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
 /// Runs `jobs(i)` for `i in 0..total` across `clients` threads pulling
 /// work from a shared index; returns elapsed seconds.
 fn drive_clients(
@@ -185,22 +150,18 @@ fn drive_clients(
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("server_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let gate = match Gate::from_env(&gate::SERVER) {
+        Ok(g) => g,
+        Err(code) => return code,
     };
-    let skip = std::env::var("SERVER_BENCH_SKIP_CHECK").is_ok_and(|v| !v.is_empty());
 
     // Analyze jobs over the Table-1 SOC family: seed i derives design
-    // i, so the cold phase compiles `designs` distinct netlists and
+    // i, so the cold phase compiles `DESIGNS` distinct netlists and
     // the warm phase replays the same hashes round-robin.
     let design_of = |i: usize| {
         let mut job = JobSpec::new(SocConfig::paper_like(
-            TABLE1_SEED + (i % opts.designs) as u64,
-            opts.flops,
+            TABLE1_SEED + (i % DESIGNS) as u64,
+            FLOPS,
         ));
         job.analyze_only = true;
         job
@@ -210,29 +171,29 @@ fn main() -> ExitCode {
         .submit(&design_of(0))
         .expect("Table-1 SOC always analyzes");
     println!(
-        "server_bench: {} — {} cells, {} clients, {} designs",
-        probe.analysis.design, probe.analysis.cells, opts.clients, opts.designs,
+        "server_bench: {} — {} cells, {CLIENTS} clients, {DESIGNS} designs",
+        probe.analysis.design, probe.analysis.cells,
     );
 
     // Cold: a fresh service per measurement (the probe above warmed
     // the first entry of `service`).
     let cold_service = Arc::new(FlowService::new(0));
-    let cold_secs = drive_clients(&cold_service, opts.clients, opts.designs, design_of);
+    let cold_secs = drive_clients(&cold_service, CLIENTS, DESIGNS, design_of);
     let stats = cold_service.cache_stats();
-    if stats.design.misses != opts.designs as u64 {
+    if stats.design.misses != DESIGNS as u64 {
         eprintln!(
-            "server_bench: FATAL — cold phase expected {} design compiles, \
+            "server_bench: FATAL — cold phase expected {DESIGNS} design compiles, \
              cache counted {} (build dedup broken?)",
-            opts.designs, stats.design.misses
+            stats.design.misses
         );
         return ExitCode::FAILURE;
     }
-    let cold_jobs = opts.designs;
+    let cold_jobs = DESIGNS;
     let cold_jps = cold_jobs as f64 / cold_secs;
 
     // Warm: replay the same designs round-robin on the now-hot cache.
-    let warm_jobs = opts.designs * opts.rounds;
-    let warm_secs = drive_clients(&cold_service, opts.clients, warm_jobs, design_of);
+    let warm_jobs = DESIGNS * ROUNDS;
+    let warm_secs = drive_clients(&cold_service, CLIENTS, warm_jobs, design_of);
     let warm_jps = warm_jobs as f64 / warm_secs;
     let ratio = warm_jps / cold_jps.max(1e-9);
     println!(
@@ -246,7 +207,7 @@ fn main() -> ExitCode {
     // compile stages. Timings are informational; the hit flags gate.
     let flow_service = FlowService::new(0);
     let flow_job = {
-        let mut job = JobSpec::new(SocConfig::paper_like(TABLE1_SEED, opts.flow_flops));
+        let mut job = JobSpec::new(SocConfig::paper_like(TABLE1_SEED, FLOW_FLOPS));
         job.clocking = ClockingMode::SimpleCpf;
         job.mask_bidi = true;
         job.timing = true;
@@ -362,7 +323,7 @@ fn main() -> ExitCode {
     std::panic::set_hook(Box::new(|_| {}));
     let server = match serve(&ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
-        workers: opts.clients,
+        workers: CLIENTS,
         cache_budget: 0,
         faults: faults.clone(),
         ..ServerConfig::default()
@@ -376,8 +337,7 @@ fn main() -> ExitCode {
     let addr = server.addr();
     let analyze_line = format!(
         "{{\"op\":\"analyze\",\"design\":{{\"preset\":\"paper_like\",\
-         \"seed\":{TABLE1_SEED},\"flops_per_domain\":{}}}}}",
-        opts.flops
+         \"seed\":{TABLE1_SEED},\"flops_per_domain\":{FLOPS}}}}}"
     );
     // Warm-up (retried: the warm-up itself can draw an injected panic).
     let mut warmed = false;
@@ -397,9 +357,9 @@ fn main() -> ExitCode {
     let next = AtomicUsize::new(0);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
-        for _ in 0..opts.clients {
+        for _ in 0..CLIENTS {
             scope.spawn(|| loop {
-                if next.fetch_add(1, Ordering::Relaxed) >= opts.degraded_jobs {
+                if next.fetch_add(1, Ordering::Relaxed) >= DEGRADED_JOBS {
                     break;
                 }
                 if let Ok(response) = request(addr, &analyze_line) {
@@ -417,56 +377,16 @@ fn main() -> ExitCode {
 
     let answered = answered.load(Ordering::Relaxed);
     let succeeded = succeeded.load(Ordering::Relaxed);
-    let availability = answered as f64 / opts.degraded_jobs as f64;
-    let ok_fraction = succeeded as f64 / opts.degraded_jobs as f64;
+    let availability = answered as f64 / DEGRADED_JOBS as f64;
+    let ok_fraction = succeeded as f64 / DEGRADED_JOBS as f64;
     let degraded_jps = answered as f64 / degraded_secs;
     let injected = faults.fired("worker.job");
     println!(
         "  degraded ({:.0}% injected worker panics): {degraded_jps:>8.1} jobs/s, \
          availability {availability:.3}, ok {ok_fraction:.3} \
-         ({answered}/{} answered, {succeeded} ok, {injected} panics injected)",
+         ({answered}/{DEGRADED_JOBS} answered, {succeeded} ok, {injected} panics injected)",
         DEGRADED_PANIC_P * 100.0,
-        opts.degraded_jobs,
     );
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"design\":\"{}\",\"cells\":{},\"flops_per_domain\":{},\
-         \"clients\":{},\"designs\":{},\
-         \"analyze\":{{\"cold_jobs\":{cold_jobs},\"cold_jobs_per_sec\":{cold_jps:.1},\
-         \"warm_jobs\":{warm_jobs},\"warm_jobs_per_sec\":{warm_jps:.1}}},\
-         \"flow\":{{\"flops_per_domain\":{},\"cold_seconds\":{flow_cold_secs:.3},\
-         \"warm_seconds\":{flow_warm_secs:.3},\"warm_all_hits\":{}}},",
-        probe.analysis.design,
-        probe.analysis.cells,
-        opts.flops,
-        opts.clients,
-        opts.designs,
-        opts.flow_flops,
-        warm_flow.warm,
-    );
-    let _ = write!(
-        json,
-        "\"obs_overhead\":{{\"quads\":{OBS_QUADS},\
-         \"untraced_jobs_per_sec\":{untraced_jps:.2},\
-         \"traced_jobs_per_sec\":{traced_jps:.2},\
-         \"overhead_pct\":{overhead_pct:.1},\
-         \"gate_overhead_pct\":{gate_pct:.1}}},",
-    );
-    let _ = write!(
-        json,
-        "\"degraded\":{{\"jobs\":{},\"injected_panic_p\":{DEGRADED_PANIC_P},\
-         \"jobs_per_sec\":{degraded_jps:.1},\"availability\":{availability:.3},\
-         \"ok_fraction\":{ok_fraction:.3},\"injected_panics\":{injected}}},",
-        opts.degraded_jobs,
-    );
-    let _ = writeln!(json, "\"warm_over_cold\":{ratio:.1}}}");
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("server_bench: cannot write {}: {e}", opts.out);
-        return ExitCode::FAILURE;
-    }
-    println!("  wrote {}", opts.out);
 
     // Availability gates: hardware-independent, always on.
     if availability < AVAILABILITY_FLOOR {
@@ -502,75 +422,40 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    if skip {
-        println!("  perf gates skipped (SERVER_BENCH_SKIP_CHECK set)");
-        return ExitCode::SUCCESS;
-    }
-    if ratio < WARM_FLOOR {
-        eprintln!(
-            "server_bench: REGRESSION — warm jobs/sec is only {ratio:.2}x cold \
-             (floor {WARM_FLOOR}x; set SERVER_BENCH_SKIP_CHECK=1 to bypass)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Some(baseline) = &opts.check {
-        return check_regression(baseline, &opts, ratio);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Compares the fresh warm/cold ratio against the committed baseline.
-/// Both phases ran on this machine, so the ratio cancels machine speed
-/// and trips only on a genuine caching regression.
-fn check_regression(path: &str, opts: &Options, fresh_ratio: f64) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("server_bench: cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let same_config = [
-        ("\"flops_per_domain\":", opts.flops),
-        ("\"clients\":", opts.clients),
-        ("\"designs\":", opts.designs),
-    ]
-    .iter()
-    .all(|&(key, mine)| extract_number(&text, key).is_none_or(|b| b as usize == mine));
-    if !same_config {
-        println!(
-            "  baseline {path} was produced with a different config — \
-             regression check skipped; regenerate the baseline"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let Some(base_ratio) = extract_number(&text, "\"warm_over_cold\":") else {
-        eprintln!("server_bench: no warm_over_cold in baseline {path}");
-        return ExitCode::FAILURE;
-    };
-    let floor = base_ratio * (1.0 - REGRESSION_TOLERANCE);
-    println!(
-        "  warm/cold ratio: fresh {fresh_ratio:.1}x vs baseline {base_ratio:.1}x \
-         (floor {floor:.1}x)"
+    let mut json = String::new();
+    let _ = write!(
+        json,
+        "{{\"design\":\"{}\",\"cells\":{},\"flops_per_domain\":{},\
+         \"clients\":{},\"designs\":{},\
+         \"analyze\":{{\"cold_jobs\":{cold_jobs},\"cold_jobs_per_sec\":{cold_jps:.1},\
+         \"warm_jobs\":{warm_jobs},\"warm_jobs_per_sec\":{warm_jps:.1}}},\
+         \"flow\":{{\"flops_per_domain\":{},\"cold_seconds\":{flow_cold_secs:.3},\
+         \"warm_seconds\":{flow_warm_secs:.3},\"warm_all_hits\":{}}},",
+        probe.analysis.design,
+        probe.analysis.cells,
+        FLOPS,
+        CLIENTS,
+        DESIGNS,
+        FLOW_FLOPS,
+        warm_flow.warm,
     );
-    if fresh_ratio < floor {
-        eprintln!(
-            "server_bench: REGRESSION — the warm/cold jobs-per-second ratio \
-             dropped more than {:.0}% below the committed baseline (set \
-             SERVER_BENCH_SKIP_CHECK=1 to bypass on cold machines)",
-            REGRESSION_TOLERANCE * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parses the number following the first occurrence of `key`.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(key)? + key.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let _ = write!(
+        json,
+        "\"obs_overhead\":{{\"quads\":{OBS_QUADS},\
+         \"untraced_jobs_per_sec\":{untraced_jps:.2},\
+         \"traced_jobs_per_sec\":{traced_jps:.2},\
+         \"overhead_pct\":{overhead_pct:.1},\
+         \"gate_overhead_pct\":{gate_pct:.1}}},",
+    );
+    let _ = write!(
+        json,
+        "\"degraded\":{{\"jobs\":{DEGRADED_JOBS},\"injected_panic_p\":{DEGRADED_PANIC_P},\
+         \"jobs_per_sec\":{degraded_jps:.1},\"availability\":{availability:.3},\
+         \"ok_fraction\":{ok_fraction:.3},\"injected_panics\":{injected}}},",
+    );
+    let _ = writeln!(json, "\"warm_over_cold\":{ratio:.1}}}");
+    gate.finish(
+        &json,
+        &[("warm/cold jobs-per-second ratio", ratio, WARM_FLOOR)],
+    )
 }

@@ -48,15 +48,6 @@ impl ExperimentId {
             ExperimentId::E => "transition, external clock with ATE constraints",
         }
     }
-
-    /// Parses a row label (`a`..`e`).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `FromStr` impl: `s.parse::<ExperimentId>()`"
-    )]
-    pub fn parse(s: &str) -> Option<Self> {
-        s.parse().ok()
-    }
 }
 
 /// Error parsing an [`ExperimentId`] row label.
@@ -783,13 +774,6 @@ mod tests {
         assert!("x".parse::<ExperimentId>().is_err());
         let err = "zz".parse::<ExperimentId>().unwrap_err();
         assert!(err.to_string().contains("zz"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parse_shim_still_works() {
-        assert_eq!(ExperimentId::parse("c"), Some(ExperimentId::C));
-        assert_eq!(ExperimentId::parse("x"), None);
     }
 
     #[test]

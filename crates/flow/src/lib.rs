@@ -67,7 +67,7 @@ pub use engine::{
     AtpgEngineChoice, EngineChoice, ParseAtpgEngineChoiceError, ParseEngineChoiceError,
 };
 pub use error::FlowError;
-pub use report::{FlowReport, LintBlock, Stage, StageTiming, TraceBlock};
+pub use report::{write_json_string, FlowReport, LintBlock, Stage, StageTiming, TraceBlock};
 pub use source::{PatternSource, PatternSourceBlock};
 pub use timing::{TimingConfig, DEFAULT_DOMAIN_PERIOD_PS};
 

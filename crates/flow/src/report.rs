@@ -691,6 +691,15 @@ fn write_span_node(w: &mut dyn Write, node: &SpanNode) -> io::Result<()> {
 /// Minimal JSON string quoting (control chars, quotes, backslashes).
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(s, &mut out);
+    out
+}
+
+/// Appends `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters. The workspace's one escaper:
+/// `occ-server`'s JSON writer and wire replies use it too, so a report
+/// spliced into a reply round-trips byte for byte.
+pub fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -704,7 +713,6 @@ fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// JSON-safe float formatting (JSON has no NaN/Infinity literals).

@@ -9,6 +9,7 @@
 //! [`FlowReport`](occ_flow::FlowReport), and byte-identity comparisons
 //! of re-serialized values only work when parsing is order-preserving.
 
+use occ_flow::write_json_string;
 use std::fmt;
 
 /// Deepest array/object nesting [`Json::parse`] accepts. Protocol
@@ -156,7 +157,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_number(*n, out),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_json_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -173,7 +174,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_json_string(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -202,27 +203,6 @@ fn write_number(n: f64, out: &mut String) {
     } else {
         let _ = write!(out, "{n}");
     }
-}
-
-/// JSON string escaping, matching `occ_flow::report`'s writer (the two
-/// serializers must agree for embedded-report splicing to round-trip).
-pub fn write_escaped(s: &str, out: &mut String) {
-    use fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'t> {

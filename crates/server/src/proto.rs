@@ -41,10 +41,10 @@
 
 use crate::cache::{CacheStats, KindCounters};
 use crate::hash::hex;
-use crate::json::{write_escaped, Json};
+use crate::json::Json;
 use crate::service::{DesignAnalysis, FlowService, JobCacheStats, JobOutcome, JobSpec};
 use occ_fault::FaultModel;
-use occ_flow::{BistConfig, EdtConfig, FlowError, FlowReport, PatternSource};
+use occ_flow::{write_json_string, BistConfig, EdtConfig, FlowError, FlowReport, PatternSource};
 use occ_soc::SocConfig;
 use std::fmt::Write as _;
 
@@ -346,9 +346,9 @@ fn parse_design(v: &Json) -> Result<SocConfig, ProtoError> {
 #[must_use]
 pub fn error_line(e: &ProtoError) -> String {
     let mut out = String::from(r#"{"ok":false,"error":{"code":"#);
-    write_escaped(e.code, &mut out);
+    write_json_string(e.code, &mut out);
     out.push_str(",\"message\":");
-    write_escaped(&e.message, &mut out);
+    write_json_string(&e.message, &mut out);
     if let Some(ms) = e.retry_after_ms {
         let _ = write!(out, r#","retry_after_ms":{ms}"#);
     }
@@ -392,7 +392,7 @@ pub fn job_line(outcome: &JobOutcome, format: ReportFormat) -> String {
             ReportFormat::Csv => {
                 let csv = format!("{}\n{}", FlowReport::csv_header(), report.to_csv_row());
                 out.push_str(",\"report_csv\":");
-                write_escaped(&csv, &mut out);
+                write_json_string(&csv, &mut out);
             }
         }
     }
@@ -415,7 +415,7 @@ fn cache_obj(c: &JobCacheStats) -> String {
 
 fn analysis_obj(a: &DesignAnalysis) -> String {
     let mut out = String::from(r#"{"design":"#);
-    write_escaped(&a.design, &mut out);
+    write_json_string(&a.design, &mut out);
     let _ = write!(
         out,
         r#","cells":{},"flops":{},"scan_flops":{},"domains":{},"graph_bytes":{}}}"#,
@@ -470,7 +470,7 @@ pub fn metrics_line() -> String {
     let exposition = occ_obs::metrics().registry.render();
     let mut out = String::with_capacity(exposition.len() + 64);
     out.push_str(r#"{"ok":true,"op":"metrics","exposition":"#);
-    write_escaped(&exposition, &mut out);
+    write_json_string(&exposition, &mut out);
     out.push('}');
     out
 }
