@@ -21,8 +21,9 @@
 //! violations abort the run) and pre-classifies structurally
 //! untestable faults so their PODEM searches are skipped — coverage
 //! and pattern sets are unchanged. `--trace` records detail spans
-//! through every stage and prints the per-row span tree (name, wall
-//! time, key=value attributes) under the results.
+//! through every stage and prints the per-row (with `--sources`,
+//! per-cell) span tree (name, wall time, key=value attributes) under
+//! the results.
 //!
 //! The five-row sweep runs through an in-process
 //! `occ::server::FlowService`: the SOC is generated and compiled once
@@ -126,6 +127,10 @@ fn main() {
             print!("{}", matrix.to_csv());
         } else {
             print!("{matrix}");
+            for c in matrix.cells.iter().filter(|c| c.report.trace.is_some()) {
+                println!("{} {}:", c.source, c.id);
+                print_trace(&c.report);
+            }
         }
         if verbose {
             let hit = |h: Option<bool>| match h {

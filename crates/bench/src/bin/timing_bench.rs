@@ -6,18 +6,24 @@
 //! cross-checks that the arrival tables are identical, and times both;
 //! then grades a strided transition-fault sample through the **timed**
 //! PPSFP detect path (timing view attached) under the counting
-//! allocator. Results land in `BENCH_timing.json` so the perf
-//! trajectory is tracked in-repo.
+//! allocator; finally runs one at-speed LBIST flow with the timing
+//! stage at `serial` and at `auto`, which re-grades its patterns on one
+//! thread and on the sharded pool. Results land in `BENCH_timing.json`
+//! so the perf trajectory is tracked in-repo.
 //!
 //! ```text
 //! timing_bench [--out PATH] [--check BASELINE.json]
 //! ```
 //!
-//! Two gates:
+//! Gates:
 //!
 //! * **Allocation** (hardware-independent, always on): after warm-up
 //!   the timed detect path must stay O(1) allocations per fault —
 //!   capped at [`MAX_ALLOCS_PER_FAULT`].
+//! * **Re-grade identity** (always on): the `serial` and `auto` flows
+//!   must report bit-identical `delay_quality` blocks. Their `timing`
+//!   stage seconds and thread counts are recorded; the auto-vs-serial
+//!   ratio is an advisory row, never a floor.
 //! * **Speedup ratio** (with `--check`, through [`occ_bench::gate`]):
 //!   the compiled-vs-reference STA passes/sec ratio — both engines
 //!   produce identical arrivals on the same machine, so the ratio
@@ -32,7 +38,9 @@ mod alloc_track;
 static ALLOC: alloc_track::CountingAlloc = alloc_track::CountingAlloc;
 
 use occ_bench::gate::{self, Gate};
+use occ_core::ClockingMode;
 use occ_fault::FaultUniverse;
+use occ_flow::{BistConfig, EngineChoice, FaultKind, FlowReport, PatternSource, Stage, TestFlow};
 use occ_fsim::{simulate_good, CaptureModel, FaultSim, FrameSpec, Pattern, SimTiming};
 use occ_netlist::{CellKind, Logic};
 use occ_sim::DelayModel;
@@ -57,6 +65,12 @@ const FAULTS: usize = 2_000;
 /// Hard cap on timed-detect allocations per fault after warm-up. The
 /// steady state is 0 — all timed scratch is allocated on attach.
 const MAX_ALLOCS_PER_FAULT: f64 = 1.0;
+
+/// LBIST patterns of the re-grade row's flow.
+const REGRADE_PATTERNS: usize = 10_000;
+
+/// The re-grade row's clocking: the paper's at-speed enhanced CPF.
+const REGRADE_MODE: ClockingMode = ClockingMode::EnhancedCpf { max_pulses: 4 };
 
 fn main() -> ExitCode {
     let gate = match Gate::from_env(&gate::TIMING) {
@@ -195,6 +209,61 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    // Timed re-grade on the flow's engine: the same flow at `serial`
+    // and at `auto` must report the same delay quality.
+    let regrade = |engine| {
+        TestFlow::new(&soc)
+            .clocking(REGRADE_MODE)
+            .fault_model(FaultKind::Transition)
+            .mask_bidi(true)
+            .engine(engine)
+            .timing(DelayModel::default())
+            .pattern_source(PatternSource::Lbist(BistConfig {
+                patterns: REGRADE_PATTERNS,
+                ..BistConfig::default()
+            }))
+            .run()
+            .expect("the Table-1 SOC runs at-speed LBIST")
+    };
+    let serial = regrade(EngineChoice::Serial);
+    let auto = regrade(EngineChoice::Auto);
+    let quality = |r: &FlowReport| r.delay_quality.clone().expect("timed flow");
+    let (serial_q, auto_q) = (quality(&serial), quality(&auto));
+    // Debug renders every float in its shortest round-trip form, so
+    // equal renderings are bit-identical blocks.
+    if format!("{serial_q:?}") != format!("{auto_q:?}") {
+        eprintln!(
+            "timing_bench: FATAL — the timed re-grade at {} threads reports \
+             a different delay_quality block than at 1 thread:\n  serial {serial_q:?}\n  \
+             auto   {auto_q:?}",
+            auto.threads,
+        );
+        return ExitCode::FAILURE;
+    }
+    let timing_s = |r: &FlowReport| r.stage_seconds(Stage::Timing);
+    let regrade_speedup = timing_s(&serial) / timing_s(&auto).max(1e-9);
+    println!(
+        "  re-grade {} LBIST x{REGRADE_PATTERNS}: timing stage {:.3}s at 1 thread, \
+         {:.3}s at {} ({regrade_speedup:.2}x), SDQL {:.4} identical",
+        REGRADE_MODE.label(),
+        timing_s(&serial),
+        timing_s(&auto),
+        auto.threads,
+        serial_q.sdql,
+    );
+    let regrade_json = format!(
+        "{{\"clocking\":\"{}\",\"lbist_patterns\":{REGRADE_PATTERNS},\"sdql\":{},\
+         \"serial\":{{\"threads\":{},\"timing_s\":{:.4}}},\
+         \"auto\":{{\"threads\":{},\"timing_s\":{:.4}}},\
+         \"speedup_auto_vs_serial\":{regrade_speedup:.3}}}",
+        REGRADE_MODE.label(),
+        serial_q.sdql,
+        serial.threads,
+        timing_s(&serial),
+        auto.threads,
+        timing_s(&auto),
+    );
+
     let json = to_json(
         &soc,
         n,
@@ -205,6 +274,7 @@ fn main() -> ExitCode {
         detected,
         timed_fps,
         allocs_per_fault,
+        &regrade_json,
     );
     gate.finish(&json, &[])
 }
@@ -220,6 +290,7 @@ fn to_json(
     detected: usize,
     timed_fps: f64,
     allocs_per_fault: f64,
+    regrade: &str,
 ) -> String {
     let mut out = String::new();
     let _ = write!(
@@ -228,7 +299,8 @@ fn to_json(
          \"passes\":{},\"sta\":{{\"reference_passes_per_sec\":{ref_passes:.1},\
          \"compiled_passes_per_sec\":{sta_passes:.1}}},\
          \"timed_detect\":{{\"faults\":{faults},\"detected\":{detected},\
-         \"faults_per_sec\":{timed_fps:.1},\"allocs_per_fault\":{allocs_per_fault:.4}}},",
+         \"faults_per_sec\":{timed_fps:.1},\"allocs_per_fault\":{allocs_per_fault:.4}}},\
+         \"regrade\":{regrade},",
         soc.netlist().name(),
         FLOPS,
         PASSES,

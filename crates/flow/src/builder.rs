@@ -176,7 +176,8 @@ impl<'s> TestFlow<'s> {
 
     /// Enables the delay-test-quality stage under the given delay
     /// model: after ATPG, the final pattern set is re-graded through
-    /// the timed PPSFP kernel and the report gains a `delay_quality`
+    /// the timed PPSFP kernel, on the workers the selected
+    /// [`EngineChoice`] resolves to, and the report gains a `delay_quality`
     /// block (SDQL, weighted coverage, slack histogram, per-procedure
     /// capture windows). Strictly additive — fault statuses, pattern
     /// sets and every pre-existing report field are unchanged.
@@ -551,21 +552,28 @@ impl<'s> TestFlow<'s> {
         drop(stage_guard);
         check_cancel()?;
 
-        let delay_quality = self.timing.as_ref().map(|cfg| {
-            let stage_guard = occ_obs::stage_span(Stage::Timing.label());
-            let periods = self.domain_periods(cfg, model.domain_count());
-            let q = run_quality(
-                &model,
-                &procedures,
-                self.clocking,
-                &result,
-                cfg,
-                &periods,
-                self.artifacts.delays.as_deref(),
-            );
-            drop(stage_guard);
-            q
-        });
+        let delay_quality = self
+            .timing
+            .as_ref()
+            .map(|cfg| {
+                let stage_guard = occ_obs::stage_span(Stage::Timing.label());
+                let periods = self.domain_periods(cfg, model.domain_count());
+                let q = run_quality(
+                    &model,
+                    &procedures,
+                    self.clocking,
+                    &result,
+                    cfg,
+                    &periods,
+                    self.artifacts.delays.as_deref(),
+                    threads,
+                    &self.cancel,
+                );
+                drop(stage_guard);
+                q
+            })
+            .transpose()?;
+        check_cancel()?;
 
         // The root span must drop before the records are read — a
         // span's record lands in the recorder at guard drop.

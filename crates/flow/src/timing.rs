@@ -8,24 +8,31 @@
 //! 2. a compiled [`Sta`] derives per-cell arrival times plus, per
 //!    clock domain, the longest *functional* path through every fault
 //!    site (the failure threshold of a delay defect there);
-//! 3. the final pattern set is re-graded through the serial PPSFP
-//!    kernel with a timing view attached
-//!    ([`FaultSim::attach_timing`](occ_fsim::FaultSim::attach_timing)):
+//! 3. the final pattern set is re-graded, 64 patterns at a time,
+//!    through the timed PPSFP kernel on the flow's fault-sim engine
+//!    ([`ParallelFaultSim::detect_many_timed`]): the detected faults
+//!    are dealt to the sharded pool in blocks (inline at one thread),
 //!    each detection records its longest sensitized path, and the
 //!    procedure's capture window
 //!    ([`occ_core::capture_window_ps`]) turns that into the smallest
-//!    delay defect the detection screens;
+//!    delay defect the detection screens. Paths fold with `max` over
+//!    a procedure's chunks, margins with `min` over procedures, so the
+//!    slacks are identical at any thread count;
 //! 4. [`QualityReport::compute`] aggregates the per-fault slacks into
 //!    SDQL, weighted coverage and the slack histogram.
 //!
 //! The pass is strictly read-only over the ATPG result: masks, fault
 //! statuses and pattern sets are untouched, and a flow without
 //! `.timing(..)` produces byte-identical reports to one built before
-//! this stage existed.
+//! this stage existed. It polls the flow's [`CancelToken`] after every
+//! chunk, so a trip ends it within one chunk's grading.
 
 use occ_core::{capture_window_ps, ClockingMode};
 use occ_fault::Fault;
-use occ_fsim::{simulate_good, CaptureModel, FaultSim, FrameSpec, Pattern, SimTiming};
+use occ_fsim::{
+    simulate_good, CancelCause, CancelToken, CaptureModel, FrameSpec, ParallelFaultSim, Pattern,
+    SimTiming, TimePs,
+};
 use occ_sim::{DelayModel, Time};
 use occ_timing::{CaptureTargets, FaultSlack, ProcWindow, QualityOptions, QualityReport, Sta};
 use std::sync::Arc;
@@ -86,10 +93,16 @@ fn site_index(model: &CaptureModel<'_>, fault: Fault) -> usize {
     }
 }
 
-/// Runs the quality pass over a finished ATPG result. A precompiled
-/// delay table (from a [`FlowArtifacts`](crate::FlowArtifacts) cache)
-/// skips the [`DelayModel::compile`] pass; `cfg.delays` is then only
-/// identity metadata.
+/// Runs the quality pass over a finished ATPG result, re-grading on
+/// `threads` fault-sim workers. A precompiled delay table (from a
+/// [`FlowArtifacts`](crate::FlowArtifacts) cache) skips the
+/// [`DelayModel::compile`] pass; `cfg.delays` is then only identity
+/// metadata.
+///
+/// # Errors
+///
+/// Returns the cause once `cancel` trips; no partially graded chunk
+/// reaches the report.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_quality(
     model: &CaptureModel<'_>,
@@ -99,7 +112,9 @@ pub(crate) fn run_quality(
     cfg: &TimingConfig,
     domain_periods: &[Time],
     precompiled: Option<&occ_sim::CompiledDelays>,
-) -> QualityReport {
+    threads: usize,
+    cancel: &CancelToken,
+) -> Result<QualityReport, CancelCause> {
     let graph = model.graph();
     let n_domains = model.domain_count();
     let compiled_here;
@@ -155,9 +170,17 @@ pub(crate) fn run_quality(
     drop(sta_span);
     let mut regrade_span = occ_obs::span("timing.regrade");
     regrade_span.attr_u64("patterns", result.patterns.patterns().len() as u64);
+    let mut psim = ParallelFaultSim::with_threads(model, threads);
+    psim.attach_cancel(cancel.clone());
+    regrade_span.attr_u64("threads", psim.threads() as u64);
     let view = Arc::new(SimTiming::new(delays.to_vec(), sta.arrivals().to_vec()));
-    let mut fsim = FaultSim::new(model);
-    fsim.attach_timing(view);
+    // Only detected faults can record a path; `slot[k]` is the universe
+    // index of `detected[k]`.
+    let (slot, detected): (Vec<usize>, Vec<Fault>) = faults
+        .iter()
+        .enumerate()
+        .filter(|&(_, &f)| result.faults.status(f).is_detected())
+        .unzip();
     let patterns = result.patterns.patterns();
     for (pi, spec) in procedures.iter().enumerate() {
         let idxs: Vec<usize> = (0..patterns.len())
@@ -166,23 +189,33 @@ pub(crate) fn run_quality(
         if idxs.is_empty() {
             continue;
         }
-        let window = windows[pi].window_ps;
+        // The longest path of any detection under this procedure.
+        let mut longest: Vec<Option<TimePs>> = vec![None; detected.len()];
         for chunk in idxs.chunks(64) {
             let pats: Vec<Pattern> = chunk.iter().map(|&i| patterns[i].clone()).collect();
             let good = simulate_good(model, spec, &pats);
-            for (slack, &fault) in slacks.iter_mut().zip(faults) {
-                if !result.faults.status(fault).is_detected() {
-                    continue;
+            let graded = psim.detect_many_timed(spec, &good, &detected, &view);
+            // A chunk graded across the trip carries zeroed pairs:
+            // stop before it is folded.
+            if let Some(cause) = cancel.cause() {
+                return Err(cause);
+            }
+            for (path, (mask, p)) in longest.iter_mut().zip(graded) {
+                if mask != 0 {
+                    *path = Some(path.map_or(p, |q| q.max(p)));
                 }
-                if fsim.detect(spec, &good, fault) != 0 {
-                    let margin = window.saturating_sub(fsim.last_path_ps());
-                    slack.test_slack_ps =
-                        Some(slack.test_slack_ps.map_or(margin, |p| p.min(margin)));
-                }
+            }
+        }
+        let window = windows[pi].window_ps;
+        for (&k, path) in slot.iter().zip(&longest) {
+            if let Some(p) = *path {
+                let margin = window.saturating_sub(p);
+                let slack = &mut slacks[k];
+                slack.test_slack_ps = Some(slack.test_slack_ps.map_or(margin, |s| s.min(margin)));
             }
         }
     }
 
     drop(regrade_span);
-    QualityReport::compute(&slacks, windows, &cfg.quality)
+    Ok(QualityReport::compute(&slacks, windows, &cfg.quality))
 }

@@ -1,12 +1,16 @@
 //! Flow-level contract of the delay-test-quality stage: strictly
 //! opt-in (untimed reports are unchanged by construction and carry no
-//! quality block), and discriminating — at-speed CPF clocking scores a
+//! quality block), discriminating — at-speed CPF clocking scores a
 //! better SDQL / weighted coverage than the slow external tester clock
-//! even where logical coverage is comparable.
+//! even where logical coverage is comparable — and independent of the
+//! fault-sim engine the re-grade runs on.
 
 use occ_atpg::AtpgOptions;
 use occ_core::ClockingMode;
-use occ_flow::{EngineChoice, FaultKind, FlowReport, Stage, TestFlow, TimingConfig};
+use occ_flow::{
+    BistConfig, EngineChoice, FaultKind, FlowReport, PatternSource, QualityReport, Stage, TestFlow,
+    TimingConfig,
+};
 use occ_sim::DelayModel;
 use occ_soc::{generate, SocConfig};
 
@@ -131,4 +135,81 @@ fn custom_netlist_sources_use_default_periods() {
         .windows
         .iter()
         .all(|w| w.window_ps == occ_flow::DEFAULT_DOMAIN_PERIOD_PS));
+}
+
+/// Every number of two quality blocks, floats by their bits.
+fn assert_same_quality(a: &QualityReport, b: &QualityReport, what: &str) {
+    assert_eq!(a.sdql.to_bits(), b.sdql.to_bits(), "{what}: sdql");
+    assert_eq!(
+        a.weighted_coverage_pct.to_bits(),
+        b.weighted_coverage_pct.to_bits(),
+        "{what}: weighted coverage"
+    );
+    assert_eq!(
+        a.mean_test_slack_ps.to_bits(),
+        b.mean_test_slack_ps.to_bits(),
+        "{what}: mean slack"
+    );
+    assert_eq!(
+        a.min_test_slack_ps, b.min_test_slack_ps,
+        "{what}: min slack"
+    );
+    assert_eq!(
+        a.max_test_slack_ps, b.max_test_slack_ps,
+        "{what}: max slack"
+    );
+    assert_eq!(a.histogram, b.histogram, "{what}: histogram");
+    assert_eq!(a.bucket_ps, b.bucket_ps, "{what}: bucket width");
+    assert_eq!(
+        a.detected_timed, b.detected_timed,
+        "{what}: timed detections"
+    );
+    assert_eq!(a.faults, b.faults, "{what}: faults");
+    assert_eq!(a.windows, b.windows, "{what}: windows");
+}
+
+#[test]
+fn quality_is_identical_on_every_engine() {
+    let soc = generate(&SocConfig::tiny(7));
+    // Table 1 rows (b)-(e), then row (c) under at-speed LBIST.
+    let rows = [
+        (ClockingMode::ExternalClock { max_pulses: 4 }, false, None),
+        (ClockingMode::SimpleCpf, true, None),
+        (ClockingMode::EnhancedCpf { max_pulses: 4 }, true, None),
+        (
+            ClockingMode::ConstrainedExternal { max_pulses: 4 },
+            true,
+            None,
+        ),
+        (ClockingMode::SimpleCpf, true, Some(256)),
+    ];
+    for (mode, mask_bidi, lbist) in rows {
+        let run = |engine| {
+            let mut flow = TestFlow::new(&soc)
+                .clocking(mode)
+                .fault_model(FaultKind::Transition)
+                .mask_bidi(mask_bidi)
+                .engine(engine)
+                .atpg(quick())
+                .timing(DelayModel::default());
+            if let Some(patterns) = lbist {
+                flow = flow.pattern_source(PatternSource::Lbist(BistConfig {
+                    patterns,
+                    ..BistConfig::default()
+                }));
+            }
+            flow.run().expect("flow validates")
+        };
+        let serial = run(EngineChoice::Serial);
+        let want = serial.delay_quality.as_ref().expect("quality block");
+        // Enough detections to deal more than one 128-fault block.
+        assert!(want.detected_timed > 256, "{mode:?}: too few detections");
+        for threads in [1, 2, 8] {
+            let sharded = run(EngineChoice::Sharded { threads });
+            let what = format!("{mode:?} lbist={lbist:?} threads={threads}");
+            assert_eq!(serial.patterns(), sharded.patterns(), "{what}");
+            let got = sharded.delay_quality.as_ref().expect("quality block");
+            assert_same_quality(want, got, &what);
+        }
+    }
 }

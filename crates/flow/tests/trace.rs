@@ -1,10 +1,12 @@
 //! Span-tree shape of a traced flow run: stage spans are exactly the
-//! report's stages, nesting is well-formed, and child time never
-//! exceeds its parent.
+//! report's stages, nesting is well-formed, child time never exceeds
+//! its parent, and the timed re-grade names its worker count.
 
 use occ_atpg::AtpgOptions;
 use occ_core::ClockingMode;
-use occ_flow::{FaultKind, SpanNode, TestFlow};
+use occ_flow::{EngineChoice, FaultKind, SpanNode, TestFlow};
+use occ_obs::AttrValue;
+use occ_sim::DelayModel;
 use occ_soc::{generate, SocConfig};
 
 fn quick_atpg() -> AtpgOptions {
@@ -88,4 +90,37 @@ fn traced_flow_span_tree_has_one_span_per_stage() {
         .run()
         .unwrap();
     assert!(untraced.trace.is_none());
+}
+
+#[test]
+fn timed_regrade_span_carries_its_thread_count() {
+    let soc = generate(&SocConfig::tiny(3));
+    for (engine, threads) in [
+        (EngineChoice::Serial, 1),
+        (EngineChoice::Sharded { threads: 2 }, 2),
+    ] {
+        let report = TestFlow::new(&soc)
+            .clocking(ClockingMode::SimpleCpf)
+            .fault_model(FaultKind::Transition)
+            .mask_bidi(true)
+            .engine(engine)
+            .timing(DelayModel::default())
+            .trace(true)
+            .atpg(quick_atpg())
+            .run()
+            .unwrap();
+        let tree = &report.trace.as_ref().expect("traced run").tree;
+        let regrade = tree.find("timing.regrade").expect("regrade span");
+        let attr = regrade.record.attrs().iter().find(|(k, _)| *k == "threads");
+        assert!(
+            matches!(attr, Some((_, AttrValue::U64(n))) if *n == threads),
+            "{engine}: timing.regrade threads attribute {attr:?}"
+        );
+        // One span for the whole re-grade: no per-chunk children.
+        assert!(
+            regrade.children.is_empty(),
+            "{engine}: {:?}",
+            regrade.children
+        );
+    }
 }

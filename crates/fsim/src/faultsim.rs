@@ -288,6 +288,19 @@ impl<'g> FaultSim<'g> {
         }));
     }
 
+    /// Attaches `view` unless it is already the attached view, so an
+    /// engine that grades batch after batch under one view keeps its
+    /// timed scratch.
+    pub(crate) fn keep_timing(&mut self, view: &Arc<SimTiming>) {
+        if !self
+            .timed
+            .as_ref()
+            .is_some_and(|t| Arc::ptr_eq(&t.view, view))
+        {
+            self.attach_timing(Arc::clone(view));
+        }
+    }
+
     /// Detaches the timing view (detections stop recording paths).
     pub fn detach_timing(&mut self) {
         self.timed = None;
@@ -911,17 +924,44 @@ impl<'g> FaultSim<'g> {
         let mut batch_span = occ_obs::span("fsim.batch");
         batch_span.attr_u64("faults", faults.len() as u64);
         batch_span.attr_u64("patterns", good.n_patterns as u64);
-        // Poll the token at a stride that keeps the check invisible on
-        // the hot path (one relaxed load per CANCEL_STRIDE faults).
+        self.detect_each(faults, |fsim, f| fsim.detect(spec, good, f))
+    }
+
+    /// The timed counterpart of [`FaultSim::detect_many`] (a timing
+    /// view must be attached): per fault, the mask and the
+    /// [`FaultSim::last_path_ps`] that detection left, with the same
+    /// cancellation padding.
+    pub(crate) fn detect_many_timed(
+        &mut self,
+        spec: &FrameSpec,
+        good: &GoodBatch,
+        faults: &[Fault],
+    ) -> Vec<(u64, TimePs)> {
+        debug_assert!(self.timed.is_some(), "timed batch without a timing view");
+        self.detect_each(faults, |fsim, f| {
+            let mask = fsim.detect(spec, good, f);
+            (mask, fsim.last_path_ps())
+        })
+    }
+
+    /// Grades `faults` one by one, polling the cancellation token at a
+    /// stride that keeps the check invisible on the hot path (one
+    /// relaxed load per `CANCEL_STRIDE` faults). Once it trips, the
+    /// rest of the output is `T::default()`.
+    fn detect_each<T: Copy + Default>(
+        &mut self,
+        faults: &[Fault],
+        mut grade: impl FnMut(&mut Self, Fault) -> T,
+    ) -> Vec<T> {
         const CANCEL_STRIDE: usize = 32;
         let mut out = Vec::with_capacity(faults.len());
         for (i, &f) in faults.iter().enumerate() {
             if i % CANCEL_STRIDE == 0 && self.cancel.is_cancelled() {
                 break;
             }
-            out.push(self.detect(spec, good, f));
+            out.push(grade(self, f));
         }
-        out.resize(faults.len(), 0);
+        out.resize(faults.len(), T::default());
         out
     }
 

@@ -6,7 +6,7 @@
 //! compiled [`SimGraph`], the [`FrameSpec`] and the good-machine
 //! batch), so the collapsed fault universe can be sharded across
 //! worker threads with **no shared mutable state** — every worker owns
-//! one private [`FaultSim`] scratch arena (value/stamp/bucket vectors)
+//! private [`FaultSim`] scratch arenas (value/stamp/bucket vectors)
 //! which it reuses for all blocks it ever grades.
 //!
 //! The workers are spawned once, when the scheduler is created, and
@@ -19,11 +19,20 @@
 //! over a shared queue; per batch the inputs are shared with the
 //! workers through three `Arc` clones.
 //!
-//! Determinism: result masks are written back by fault index, so the
-//! output of [`ParallelFaultSim::detect_many`] is bit-identical to the
-//! serial engine at any thread count, and the [`FaultStatus`] merge in
-//! [`ParallelFaultSim::grade`] processes faults in universe order —
-//! thread scheduling can never change a coverage report.
+//! Two batch shapes run on the same pool:
+//!
+//! * [`ParallelFaultSim::detect_many`] — detection masks, graded on each
+//!   worker's untimed engine;
+//! * [`ParallelFaultSim::detect_many_timed`] — masks plus the longest
+//!   sensitized path per fault, graded on a second, timed engine each
+//!   worker keeps attached to the batch's [`SimTiming`] view (it is
+//!   re-attached only when a batch brings a different view).
+//!
+//! Determinism: results are written back by fault index, so both are
+//! bit-identical to the serial engine at any thread count and block
+//! size, and the [`FaultStatus`] merge in [`ParallelFaultSim::grade`]
+//! processes faults in universe order — thread scheduling can never
+//! change a coverage report or a slack.
 //!
 //! Blocks are dealt from the shared queue, so an expensive cone
 //! occupies one worker while the others drain the rest — better load
@@ -34,6 +43,7 @@ use crate::cancel::CancelToken;
 use crate::faultsim::FaultSim;
 use crate::goodsim::GoodBatch;
 use crate::graph::{KernelStats, SimGraph};
+use crate::timing::{SimTiming, TimePs};
 use crate::{CaptureModel, FrameSpec};
 use occ_fault::{Fault, FaultList, FaultStatus};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,17 +54,38 @@ use std::thread;
 /// Default number of faults per scheduling block.
 const DEFAULT_BLOCK: usize = 128;
 
-/// One unit of work for a pool worker: grade `faults[start..end]` of a
-/// shared batch and send the masks (keyed by `start`) back.
-struct Job {
-    spec: Arc<FrameSpec>,
-    good: Arc<GoodBatch>,
-    faults: Arc<Vec<Fault>>,
-    start: usize,
-    end: usize,
-    cancel: CancelToken,
-    results: mpsc::Sender<(usize, Vec<u64>, KernelStats)>,
+/// A pool worker's private engines, reused for every block it ever
+/// grades.
+struct Worker<'g> {
+    graph: &'g SimGraph,
+    untimed: FaultSim<'g>,
+    // Built by the first timed block; kept attached to the view it last
+    // graded under.
+    timed: Option<FaultSim<'g>>,
 }
+
+impl<'g> Worker<'g> {
+    /// The untimed engine, or the timed one attached to `timing`.
+    fn engine(&mut self, timing: Option<&Arc<SimTiming>>) -> &mut FaultSim<'g> {
+        let Some(view) = timing else {
+            return &mut self.untimed;
+        };
+        let graph = self.graph;
+        let engine = self
+            .timed
+            .get_or_insert_with(|| FaultSim::from_graph(graph));
+        engine.keep_timing(view);
+        engine
+    }
+}
+
+/// One block of a batch, run on whichever worker dequeues it; it sends
+/// its own result back.
+type Job = Box<dyn for<'g> FnOnce(&mut Worker<'g>) + Send>;
+
+/// What a block grades with: the engine's batch call over the shared
+/// inputs.
+type Grade<T> = fn(&mut FaultSim<'_>, &FrameSpec, &GoodBatch, &[Fault]) -> Vec<T>;
 
 /// The persistent workers plus the sending half of their job queue.
 #[derive(Debug)]
@@ -73,38 +104,17 @@ impl Pool {
                 let rx = Arc::clone(&rx);
                 let graph = Arc::clone(graph);
                 thread::spawn(move || {
-                    // One scratch arena per worker, reused for every
-                    // block of every batch this pool ever grades.
-                    let mut engine = FaultSim::from_graph(&graph);
+                    let mut worker = Worker {
+                        graph: &graph,
+                        untimed: FaultSim::from_graph(&graph),
+                        timed: None,
+                    };
                     loop {
                         // Hold the queue lock only while dequeueing.
                         let Ok(job) = rx.lock().expect("job queue poisoned").recv() else {
                             break; // scheduler dropped
                         };
-                        let before = engine.kernel_stats();
-                        // A tripped token short-circuits the block:
-                        // zero masks, no grading. The caller observes
-                        // the trip and discards the whole batch.
-                        let masks = if job.cancel.is_cancelled() {
-                            vec![0u64; job.end - job.start]
-                        } else {
-                            engine.attach_cancel(job.cancel.clone());
-                            engine.detect_many(
-                                &job.spec,
-                                &job.good,
-                                &job.faults[job.start..job.end],
-                            )
-                        };
-                        let after = engine.kernel_stats();
-                        let delta = KernelStats {
-                            faults_graded: after.faults_graded - before.faults_graded,
-                            cone_pruned: after.cone_pruned - before.cone_pruned,
-                            events: after.events - before.events,
-                            ..KernelStats::default()
-                        };
-                        // A send error means the caller gave up on the
-                        // batch; keep serving the queue.
-                        let _ = job.results.send((job.start, masks, delta));
+                        job(&mut worker);
                     }
                 })
             })
@@ -180,15 +190,19 @@ pub struct ParallelFaultSim<'g> {
     block: usize,
     // The persistent workers (absent when the scheduler is serial).
     pool: Option<Pool>,
-    // Lazily-built serial engine reused across small-batch calls (the
-    // ATPG compaction loop grades one pattern at a time; rebuilding
-    // the scratch arenas per call would dominate).
+    // Lazily-built serial engines reused across small-batch calls (the
+    // ATPG compaction loop grades one pattern at a time, the timed
+    // re-grade one 64-pattern chunk at a time; rebuilding the scratch
+    // arenas per call would dominate). The timed one stays attached to
+    // the view it last graded under.
     scratch: Option<FaultSim<'g>>,
+    timed_scratch: Option<FaultSim<'g>>,
     // Kernel work counters merged back from worker shards (atomic so
     // `detect_many(&self)` can record them).
     faults_graded: AtomicU64,
     cone_pruned: AtomicU64,
     events: AtomicU64,
+    timed_faults: AtomicU64,
     // Cooperative cancellation, shared with every worker per job (the
     // default token never trips).
     cancel: CancelToken,
@@ -213,9 +227,11 @@ impl<'g> ParallelFaultSim<'g> {
             block: DEFAULT_BLOCK,
             pool,
             scratch: None,
+            timed_scratch: None,
             faults_graded: AtomicU64::new(0),
             cone_pruned: AtomicU64::new(0),
             events: AtomicU64::new(0),
+            timed_faults: AtomicU64::new(0),
             cancel: CancelToken::never(),
         }
     }
@@ -225,20 +241,24 @@ impl<'g> ParallelFaultSim<'g> {
     /// trips and return zero masks). The caller is expected to discard
     /// the truncated batch after observing the trip.
     pub fn attach_cancel(&mut self, token: CancelToken) {
-        if let Some(scratch) = &mut self.scratch {
+        for scratch in [&mut self.scratch, &mut self.timed_scratch]
+            .into_iter()
+            .flatten()
+        {
             scratch.attach_cancel(token.clone());
         }
         self.cancel = token;
     }
 
     /// Kernel statistics aggregated over every shard this scheduler has
-    /// run (plus the cached serial scratch engine, when used).
+    /// run (plus the cached serial scratch engines, when used).
     pub fn kernel_stats(&self) -> KernelStats {
         let mut s = self.graph.static_stats();
         s.faults_graded = self.faults_graded.load(Ordering::Relaxed);
         s.cone_pruned = self.cone_pruned.load(Ordering::Relaxed);
         s.events = self.events.load(Ordering::Relaxed);
-        if let Some(scratch) = &self.scratch {
+        s.timed_faults = self.timed_faults.load(Ordering::Relaxed);
+        for scratch in [&self.scratch, &self.timed_scratch].into_iter().flatten() {
             s.absorb(&scratch.kernel_stats());
         }
         s
@@ -261,6 +281,25 @@ impl<'g> ParallelFaultSim<'g> {
         self.threads
     }
 
+    /// The pool, when the batch is worth sharding: below roughly one
+    /// block the cross-thread handoff cannot pay for itself.
+    fn pool_for(&self, faults: &[Fault]) -> Option<&Pool> {
+        self.pool.as_ref().filter(|_| faults.len() > self.block)
+    }
+
+    /// A cached serial engine, built with the scheduler's token.
+    fn cached<'s>(
+        slot: &'s mut Option<FaultSim<'g>>,
+        graph: &'g SimGraph,
+        cancel: &CancelToken,
+    ) -> &'s mut FaultSim<'g> {
+        slot.get_or_insert_with(|| {
+            let mut engine = FaultSim::from_graph(graph);
+            engine.attach_cancel(cancel.clone());
+            engine
+        })
+    }
+
     /// Like [`ParallelFaultSim::detect_many`], but reuses a cached
     /// serial scratch arena for the small batches that fall below the
     /// sharding threshold (how the trait-object ATPG path calls in —
@@ -271,25 +310,21 @@ impl<'g> ParallelFaultSim<'g> {
         good: &GoodBatch,
         faults: &[Fault],
     ) -> Vec<u64> {
-        if self.threads == 1 || faults.len() <= self.block {
-            let graph = self.graph;
-            let cancel = self.cancel.clone();
-            let scratch = self.scratch.get_or_insert_with(|| {
-                let mut engine = FaultSim::from_graph(graph);
-                engine.attach_cancel(cancel);
-                engine
-            });
-            return scratch.detect_many(spec, good, faults);
+        if self.pool_for(faults).is_none() {
+            return Self::cached(&mut self.scratch, self.graph, &self.cancel)
+                .detect_many(spec, good, faults);
         }
         self.detect_many(spec, good, faults)
     }
 
     /// Detects a batch of faults, returning one 64-bit mask per fault —
     /// bit-identical to [`FaultSim::detect_many`] at any thread count.
+    // The closure handed to `shard` cannot be the method path: the
+    // engine's lifetime is early-bound on the method, so the path does
+    // not coerce to the higher-ranked `Grade`.
+    #[allow(clippy::redundant_closure_for_method_calls)]
     pub fn detect_many(&self, spec: &FrameSpec, good: &GoodBatch, faults: &[Fault]) -> Vec<u64> {
-        // Below roughly one block per worker the cross-thread handoff
-        // cannot pay for itself; fall through to the serial engine.
-        let Some(pool) = self.pool.as_ref().filter(|_| faults.len() > self.block) else {
+        let Some(pool) = self.pool_for(faults) else {
             let mut engine = FaultSim::from_graph(self.graph);
             engine.attach_cancel(self.cancel.clone());
             let masks = engine.detect_many(spec, good, faults);
@@ -303,34 +338,109 @@ impl<'g> ParallelFaultSim<'g> {
         batch_span.attr_u64("faults", faults.len() as u64);
         batch_span.attr_u64("patterns", good.n_patterns as u64);
         batch_span.attr_u64("threads", self.threads as u64);
+        self.shard(
+            pool,
+            spec,
+            good,
+            faults,
+            None,
+            |engine, spec, good, faults| engine.detect_many(spec, good, faults),
+        )
+    }
 
+    /// Detects a batch of faults on the timed path: per fault, the
+    /// detection mask and the longest sensitized path in ps — exactly
+    /// what [`FaultSim::detect`] followed by
+    /// [`FaultSim::last_path_ps`] returns on a serial engine with
+    /// `timing` attached, at any thread count and block size.
+    ///
+    /// Pool workers grade on a timed engine each keeps attached to
+    /// `timing`, so consecutive batches under one view (the flow's
+    /// re-grade, 64 patterns at a time) re-attach nothing. With one
+    /// thread, or below one block, the batch runs inline on a cached
+    /// timed scratch engine. A tripped cancellation token zeroes the
+    /// remaining pairs, as in [`ParallelFaultSim::detect_many`].
+    #[allow(clippy::redundant_closure_for_method_calls)] // as in `detect_many`
+    pub fn detect_many_timed(
+        &mut self,
+        spec: &FrameSpec,
+        good: &GoodBatch,
+        faults: &[Fault],
+        timing: &Arc<SimTiming>,
+    ) -> Vec<(u64, TimePs)> {
+        let Some(pool) = self.pool_for(faults) else {
+            let engine = Self::cached(&mut self.timed_scratch, self.graph, &self.cancel);
+            engine.keep_timing(timing);
+            return engine.detect_many_timed(spec, good, faults);
+        };
+        self.shard(
+            pool,
+            spec,
+            good,
+            faults,
+            Some(timing),
+            |engine, spec, good, faults| engine.detect_many_timed(spec, good, faults),
+        )
+    }
+
+    /// Deals `faults` to the pool in blocks; each block runs `grade` on
+    /// a worker's untimed engine, or on its timed engine when `timing`
+    /// is given. Results are merged by fault index, so the output does
+    /// not depend on which worker took which block.
+    fn shard<T: Copy + Default + Send + 'static>(
+        &self,
+        pool: &Pool,
+        spec: &FrameSpec,
+        good: &GoodBatch,
+        faults: &[Fault],
+        timing: Option<&Arc<SimTiming>>,
+        grade: Grade<T>,
+    ) -> Vec<T> {
         // Share the batch inputs with the pool; the clones live only as
         // long as the slowest worker needs them.
         let spec = Arc::new(spec.clone());
-        let good_arc = Arc::new(good.clone());
-        let faults_arc = Arc::new(faults.to_vec());
+        let good = Arc::new(good.clone());
+        let faults = Arc::new(faults.to_vec());
         let (tx, rx) = mpsc::channel();
         let n_blocks = faults.len().div_ceil(self.block);
         for b in 0..n_blocks {
             let start = b * self.block;
-            pool.submit(Job {
-                spec: Arc::clone(&spec),
-                good: Arc::clone(&good_arc),
-                faults: Arc::clone(&faults_arc),
-                start,
-                end: (start + self.block).min(faults.len()),
-                cancel: self.cancel.clone(),
-                results: tx.clone(),
-            });
+            let end = (start + self.block).min(faults.len());
+            let (spec, good, faults) = (Arc::clone(&spec), Arc::clone(&good), Arc::clone(&faults));
+            let (timing, cancel, tx) = (timing.cloned(), self.cancel.clone(), tx.clone());
+            pool.submit(Box::new(move |worker: &mut Worker<'_>| {
+                let engine = worker.engine(timing.as_ref());
+                let before = engine.kernel_stats();
+                // A tripped token short-circuits the block: zeros, no
+                // grading. The caller observes the trip and discards
+                // the whole batch.
+                let out = if cancel.is_cancelled() {
+                    vec![T::default(); end - start]
+                } else {
+                    engine.attach_cancel(cancel);
+                    grade(engine, &spec, &good, &faults[start..end])
+                };
+                let after = engine.kernel_stats();
+                let delta = KernelStats {
+                    faults_graded: after.faults_graded - before.faults_graded,
+                    cone_pruned: after.cone_pruned - before.cone_pruned,
+                    events: after.events - before.events,
+                    timed_faults: after.timed_faults - before.timed_faults,
+                    ..KernelStats::default()
+                };
+                // A send error means the caller gave up on the batch;
+                // keep serving the queue.
+                let _ = tx.send((start, out, delta));
+            }));
         }
         drop(tx);
 
         // Deterministic merge: each block owns a disjoint index range.
-        let mut out = vec![0u64; faults.len()];
+        let mut out = vec![T::default(); faults.len()];
         for _ in 0..n_blocks {
-            let (start, masks, stats) = rx.recv().expect("fault-sim worker panicked");
+            let (start, part, stats) = rx.recv().expect("fault-sim worker panicked");
             self.merge_stats(&stats);
-            out[start..start + masks.len()].copy_from_slice(&masks);
+            out[start..start + part.len()].copy_from_slice(&part);
         }
         out
     }
@@ -341,6 +451,8 @@ impl<'g> ParallelFaultSim<'g> {
         self.cone_pruned
             .fetch_add(stats.cone_pruned, Ordering::Relaxed);
         self.events.fetch_add(stats.events, Ordering::Relaxed);
+        self.timed_faults
+            .fetch_add(stats.timed_faults, Ordering::Relaxed);
     }
 
     /// Grades every fault of `list` that is not yet detected against
@@ -492,6 +604,131 @@ mod tests {
         }
         let graded = psim.kernel_stats().faults_graded;
         assert_eq!(graded, 10 * faults.len() as u64);
+    }
+
+    /// A hand-made timing view over the rig: uneven delays and launch
+    /// arrivals, so different cones record different paths.
+    fn view(graph: &SimGraph, salt: u64) -> Arc<SimTiming> {
+        let n = graph.cells() as u64;
+        Arc::new(SimTiming::new(
+            (0..n).map(|i| 5 + (i * 7 + salt) % 23).collect(),
+            (0..n).map(|i| (i * 13 + salt) % 97).collect(),
+        ))
+    }
+
+    /// `detect` + `last_path_ps` on a fresh serial engine with `view`.
+    fn serial_timed(
+        model: &CaptureModel<'_>,
+        spec: &FrameSpec,
+        good: &GoodBatch,
+        faults: &[Fault],
+        view: &Arc<SimTiming>,
+    ) -> Vec<(u64, TimePs)> {
+        let mut engine = FaultSim::new(model);
+        engine.attach_timing(Arc::clone(view));
+        faults
+            .iter()
+            .map(|&f| {
+                let mask = engine.detect(spec, good, f);
+                (mask, engine.last_path_ps())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn timed_batches_match_serial_at_any_thread_count_and_block() {
+        let nl = rig();
+        let mut binding = ClockBinding::new();
+        binding.add_domain("a", nl.find("clk").unwrap());
+        binding.constrain(nl.find("se").unwrap(), Logic::Zero);
+        binding.mask(nl.find("si").unwrap());
+        let model = CaptureModel::new(&nl, binding).unwrap();
+        let n_scan = model.scan_flops().len();
+        let cases = [
+            (
+                FrameSpec::new("sa", vec![CycleSpec::pulsing(&[0])]),
+                FaultUniverse::stuck_at(&nl),
+            ),
+            (
+                FrameSpec::broadside("loc", &[0], 2),
+                FaultUniverse::transition(&nl),
+            ),
+        ];
+        for (spec, universe) in &cases {
+            let patterns: Vec<Pattern> = (0..48u64)
+                .map(|i| {
+                    let mut p = Pattern::empty(&model, spec, 0);
+                    p.scan_load = (0..n_scan)
+                        .map(|s| Logic::from_bool((i * 5 + s as u64).is_multiple_of(3)))
+                        .collect();
+                    for frame in &mut p.pis {
+                        for (j, v) in frame.iter_mut().enumerate() {
+                            *v = Logic::from_bool((i + j as u64) % 4 < 2);
+                        }
+                    }
+                    p
+                })
+                .collect();
+            let good = simulate_good(&model, spec, &patterns);
+            let faults = universe.faults().to_vec();
+            let timing = view(model.graph(), 0);
+            let want = serial_timed(&model, spec, &good, &faults, &timing);
+            let masks = FaultSim::new(&model).detect_many(spec, &good, &faults);
+            assert!(want.iter().any(|&(_, p)| p > 0), "{}: no path", spec.name());
+
+            // The rig has fewer than 128 faults: that block size covers
+            // the inline path at every thread count.
+            for threads in [1, 2, 8] {
+                for block in [1, 7, 128] {
+                    let mut psim =
+                        ParallelFaultSim::with_threads(&model, threads).block_size(block);
+                    let got = psim.detect_many_timed(spec, &good, &faults, &timing);
+                    let at = format!("{} threads={threads} block={block}", spec.name());
+                    assert_eq!(got, want, "{at}");
+                    let got_masks: Vec<u64> = got.iter().map(|&(m, _)| m).collect();
+                    assert_eq!(got_masks, masks, "{at}");
+                    assert_eq!(
+                        psim.kernel_stats().timed_faults,
+                        faults.len() as u64,
+                        "{at}"
+                    );
+                    // A second view re-attaches; the first one again
+                    // reproduces its own paths.
+                    let other = view(model.graph(), 11);
+                    let again = psim.detect_many_timed(spec, &good, &faults, &other);
+                    assert_eq!(
+                        again,
+                        serial_timed(&model, spec, &good, &faults, &other),
+                        "{at}"
+                    );
+                    assert_eq!(psim.detect_many_timed(spec, &good, &faults, &timing), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tripped_token_zeroes_timed_batches() {
+        let nl = rig();
+        let mut binding = ClockBinding::new();
+        binding.add_domain("a", nl.find("clk").unwrap());
+        binding.constrain(nl.find("se").unwrap(), Logic::Zero);
+        binding.mask(nl.find("si").unwrap());
+        let model = CaptureModel::new(&nl, binding).unwrap();
+        let spec = FrameSpec::new("sa", vec![CycleSpec::pulsing(&[0])]);
+        let mut p = Pattern::empty(&model, &spec, 0);
+        p.fill_x(|| Logic::One);
+        let good = simulate_good(&model, &spec, &[p]);
+        let faults = FaultUniverse::stuck_at(&nl).faults().to_vec();
+        let timing = view(model.graph(), 3);
+        let token = CancelToken::new();
+        token.cancel();
+        for threads in [1, 2] {
+            let mut psim = ParallelFaultSim::with_threads(&model, threads).block_size(4);
+            psim.attach_cancel(token.clone());
+            let got = psim.detect_many_timed(&spec, &good, &faults, &timing);
+            assert_eq!(got, vec![(0, 0); faults.len()], "threads={threads}");
+        }
     }
 
     #[test]
