@@ -1,7 +1,7 @@
 //! Incremental netlist construction with deferred validation.
 
 use crate::error::{BuildError, ValidateError};
-use crate::netlist::Levelization;
+use crate::netlist::{Fanouts, Levelization};
 use crate::{Cell, CellId, CellKind, Netlist};
 use std::collections::VecDeque;
 
@@ -52,10 +52,12 @@ impl NetlistBuilder {
     /// CPF attachment). Cell ids are preserved.
     pub fn from_netlist(netlist: &Netlist) -> Self {
         let mut b = NetlistBuilder::new(netlist.name());
-        for (_, cell) in netlist.iter() {
-            let id = b.push(cell.kind(), cell.inputs().to_vec());
-            if let Some(n) = cell.name() {
-                b.name_cell(id, n);
+        b.cells = netlist.iter().map(|(_, cell)| cell.clone()).collect();
+        for (id, cell) in netlist.iter() {
+            match cell.kind() {
+                CellKind::Input => b.primary_inputs.push(id),
+                CellKind::Output => b.primary_outputs.push(id),
+                _ => {}
             }
         }
         b
@@ -112,8 +114,7 @@ impl NetlistBuilder {
 
     /// Assigns (or replaces) the instance name of a cell.
     pub fn name_cell(&mut self, id: CellId, name: &str) {
-        let cell = &mut self.cells[id.index()];
-        *cell = Cell::new(cell.kind(), cell.inputs().to_vec(), Some(name.into()));
+        self.cells[id.index()].set_name(name);
     }
 
     /// Re-connects pin `pin` of `cell` to `src`. Used to close sequential
@@ -123,16 +124,14 @@ impl NetlistBuilder {
     ///
     /// Panics if `pin` is out of range for the cell.
     pub fn set_input(&mut self, cell: CellId, pin: usize, src: CellId) {
-        let old = &self.cells[cell.index()];
-        let mut inputs = old.inputs().to_vec();
+        let cell = &mut self.cells[cell.index()];
         assert!(
-            pin < inputs.len(),
+            pin < cell.inputs().len(),
             "pin {pin} out of range for {} with {} pins",
-            old.kind(),
-            inputs.len()
+            cell.kind(),
+            cell.inputs().len()
         );
-        inputs[pin] = src;
-        self.cells[cell.index()] = Cell::new(old.kind(), inputs, old.name().map(Into::into));
+        cell.set_input(pin, src);
     }
 
     /// Connects the `d` pin of a flop created with a `*_uninit`
@@ -413,12 +412,14 @@ impl NetlistBuilder {
             return Err(BuildError::new(errors));
         }
 
-        let lev = levelize(&self.cells).map_err(|e| BuildError::new(vec![e]))?;
+        let fanouts = Fanouts::of(&self.cells);
+        let lev = levelize(&self.cells, &fanouts).map_err(|e| BuildError::new(vec![e]))?;
         Ok(Netlist::assemble(
             self.name,
             self.cells,
             self.primary_inputs,
             self.primary_outputs,
+            fanouts,
             lev,
         ))
     }
@@ -426,7 +427,7 @@ impl NetlistBuilder {
 
 /// Kahn's algorithm over the combinational subgraph. Sequential cells and
 /// sources are level 0 and do not propagate dependencies.
-fn levelize(cells: &[Cell]) -> Result<Levelization, ValidateError> {
+fn levelize(cells: &[Cell], fanouts: &Fanouts) -> Result<Levelization, ValidateError> {
     let n = cells.len();
     let is_comb: Vec<bool> = cells
         .iter()
@@ -441,18 +442,6 @@ fn levelize(cells: &[Cell]) -> Result<Levelization, ValidateError> {
         }
         comb_total += 1;
         indegree[i] = cell.inputs().iter().filter(|s| is_comb[s.index()]).count() as u32;
-    }
-
-    let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, cell) in cells.iter().enumerate() {
-        if !is_comb[i] {
-            continue;
-        }
-        for &src in cell.inputs() {
-            if is_comb[src.index()] {
-                fanout[src.index()].push(i as u32);
-            }
-        }
     }
 
     let mut level = vec![0u32; n];
@@ -476,10 +465,14 @@ fn levelize(cells: &[Cell]) -> Result<Levelization, ValidateError> {
         max_level = max_level.max(lvl);
         order.push(CellId::from_index(iu));
         processed += 1;
-        for &f in &fanout[iu] {
-            indegree[f as usize] -= 1;
-            if indegree[f as usize] == 0 {
-                queue.push_back(f);
+        for &f in fanouts.of_cell(iu) {
+            let f = f.index();
+            if !is_comb[f] {
+                continue;
+            }
+            indegree[f] -= 1;
+            if indegree[f] == 0 {
+                queue.push_back(f as u32);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! The immutable netlist arena and its derived views.
 
 use crate::{Cell, CellId, CellKind};
-use std::collections::HashMap;
+use std::mem::size_of;
 
 /// A validated, immutable gate-level netlist.
 ///
@@ -9,6 +9,21 @@ use std::collections::HashMap;
 /// construction is the only mutation path, so every `Netlist` is
 /// structurally sound: arities match, no dangling references, no
 /// combinational cycles.
+///
+/// # Layout
+///
+/// A netlist is cached per design and kept for the life of a daemon,
+/// so it is laid out compactly, in a few exactly-sized arrays:
+///
+/// - cells in one array, each keeping up to five input pins inline
+///   (every gate and flop of the generated SOCs), with only wider
+///   n-ary gates and RAM macros boxing their pin list;
+/// - fanouts as one CSR pair, per-cell offsets into a single sink
+///   array in id order;
+/// - the name index as the named cells' ids sorted by name, searched by
+///   bisection.
+///
+/// [`Netlist::approx_bytes`] sums what these arrays hold on the heap.
 ///
 /// # Examples
 ///
@@ -31,9 +46,57 @@ pub struct Netlist {
     cells: Vec<Cell>,
     primary_inputs: Vec<CellId>,
     primary_outputs: Vec<CellId>,
-    fanouts: Vec<Vec<CellId>>,
+    fanouts: Fanouts,
     levelization: Levelization,
-    by_name: HashMap<Box<str>, CellId>,
+    /// Named cells sorted by name, one per name: where a name repeats,
+    /// the highest id carries it.
+    by_name: Vec<CellId>,
+    /// [`Netlist::approx_bytes`], summed once: the arrays never change.
+    heap_bytes: usize,
+}
+
+/// Fanout lists in CSR form: the sinks of cell `i` are
+/// `sinks[start[i]..start[i + 1]]`, in id order, a sink that reads the
+/// cell on several pins listed once per pin.
+#[derive(Debug, Clone)]
+pub(crate) struct Fanouts {
+    start: Vec<u32>,
+    sinks: Vec<CellId>,
+}
+
+impl Fanouts {
+    /// Inverts the cells' pin lists.
+    pub(crate) fn of(cells: &[Cell]) -> Fanouts {
+        let mut start = vec![0u32; cells.len() + 1];
+        for cell in cells {
+            for &src in cell.inputs() {
+                start[src.index() + 1] += 1;
+            }
+        }
+        for i in 0..cells.len() {
+            start[i + 1] += start[i];
+        }
+        let mut fill: Vec<u32> = start[..cells.len()].to_vec();
+        let mut sinks = vec![CellId::from_raw(0); start[cells.len()] as usize];
+        for (i, cell) in cells.iter().enumerate() {
+            for &src in cell.inputs() {
+                let slot = &mut fill[src.index()];
+                sinks[*slot as usize] = CellId::from_index(i);
+                *slot += 1;
+            }
+        }
+        Fanouts { start, sinks }
+    }
+
+    /// The sinks of the cell at `index`.
+    #[inline]
+    pub(crate) fn of_cell(&self, index: usize) -> &[CellId] {
+        &self.sinks[self.start[index] as usize..self.start[index + 1] as usize]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.start.capacity() * size_of::<u32>() + self.sinks.capacity() * size_of::<CellId>()
+    }
 }
 
 /// Topological ordering of the combinational cells of a netlist.
@@ -50,12 +113,18 @@ pub struct Levelization {
 }
 
 impl Levelization {
-    pub(crate) fn new(order: Vec<CellId>, level: Vec<u32>, max_level: u32) -> Self {
+    pub(crate) fn new(mut order: Vec<CellId>, mut level: Vec<u32>, max_level: u32) -> Self {
+        order.shrink_to_fit();
+        level.shrink_to_fit();
         Levelization {
             order,
             level,
             max_level,
         }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.order.capacity() * size_of::<CellId>() + self.level.capacity() * size_of::<u32>()
     }
 
     /// Combinational cells in dependency order (inputs before outputs).
@@ -88,24 +157,31 @@ impl Levelization {
 impl Netlist {
     pub(crate) fn assemble(
         name: Box<str>,
-        cells: Vec<Cell>,
-        primary_inputs: Vec<CellId>,
-        primary_outputs: Vec<CellId>,
+        mut cells: Vec<Cell>,
+        mut primary_inputs: Vec<CellId>,
+        mut primary_outputs: Vec<CellId>,
+        fanouts: Fanouts,
         levelization: Levelization,
     ) -> Self {
-        let mut fanouts: Vec<Vec<CellId>> = vec![Vec::new(); cells.len()];
-        for (i, cell) in cells.iter().enumerate() {
-            let sink = CellId::from_index(i);
-            for &src in cell.inputs() {
-                fanouts[src.index()].push(sink);
-            }
-        }
-        let mut by_name = HashMap::new();
-        for (i, cell) in cells.iter().enumerate() {
-            if let Some(n) = cell.name() {
-                by_name.insert(n.into(), CellId::from_index(i));
-            }
-        }
+        cells.shrink_to_fit();
+        primary_inputs.shrink_to_fit();
+        primary_outputs.shrink_to_fit();
+        let name_of = |id: &CellId| cells[id.index()].name();
+        let mut by_name: Vec<CellId> = (0..cells.len())
+            .map(CellId::from_index)
+            .filter(|id| name_of(id).is_some())
+            .collect();
+        // Highest id first within a name, so deduplication keeps it.
+        by_name.sort_unstable_by(|a, b| name_of(a).cmp(&name_of(b)).then(b.cmp(a)));
+        by_name.dedup_by(|a, b| name_of(a) == name_of(b));
+        by_name.shrink_to_fit();
+        let heap_bytes = name.len()
+            + cells.capacity() * size_of::<Cell>()
+            + cells.iter().map(Cell::heap_bytes).sum::<usize>()
+            + (primary_inputs.capacity() + primary_outputs.capacity() + by_name.capacity())
+                * size_of::<CellId>()
+            + fanouts.heap_bytes()
+            + levelization.heap_bytes();
         Netlist {
             name,
             cells,
@@ -114,7 +190,16 @@ impl Netlist {
             fanouts,
             levelization,
             by_name,
+            heap_bytes,
         }
+    }
+
+    /// Approximate heap bytes this netlist owns: every array at its
+    /// capacity, boxed pin lists and name strings (not the `Netlist`
+    /// value itself). What a cache that keeps the netlist is charged.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        self.heap_bytes
     }
 
     /// The design name.
@@ -173,14 +258,14 @@ impl Netlist {
     /// Cells that consume the output of `id`, in id order.
     #[inline]
     pub fn fanouts(&self, id: CellId) -> &[CellId] {
-        &self.fanouts[id.index()]
+        self.fanouts.of_cell(id.index())
     }
 
     /// Total number of fanout edges (the sum of all per-cell fanout
     /// list lengths) — lets CSR compilers size their flattened edge
     /// arrays in one allocation.
     pub fn fanout_edge_count(&self) -> usize {
-        self.fanouts.iter().map(Vec::len).sum()
+        self.fanouts.sinks.len()
     }
 
     /// Total number of fanin edges (the sum of all cell input counts).
@@ -195,8 +280,15 @@ impl Netlist {
     }
 
     /// Looks up a cell by its instance name.
+    ///
+    /// Where several cells carry the name, the one with the highest id
+    /// is returned.
     pub fn find(&self, name: &str) -> Option<CellId> {
-        self.by_name.get(name).copied()
+        let i = self
+            .by_name
+            .binary_search_by(|id| self.cells[id.index()].name().cmp(&Some(name)))
+            .ok()?;
+        Some(self.by_name[i])
     }
 
     /// Iterates over all flip-flop cells.
@@ -301,6 +393,37 @@ mod tests {
         assert_eq!(nl.find("u_inv"), Some(n));
         assert_eq!(nl.find("a"), Some(a));
         assert_eq!(nl.find("missing"), None);
+    }
+
+    #[test]
+    fn compact_layout_keeps_names_fanouts_and_wide_pins() {
+        let mut b = NetlistBuilder::new("t");
+        let a = b.input("a");
+        let c = b.input("c");
+        let clk = b.input("clk");
+        // Two cells named alike: the later one answers to the name.
+        let first = b.not(a);
+        b.name_cell(first, "dup");
+        let second = b.buf(c);
+        b.name_cell(second, "dup");
+        // One sink reading `a` on two pins.
+        let both = b.xor2(a, a);
+        // Two cells wider than the inline pin limit.
+        let wide_pins = [a, c, first, second, both, c, first];
+        let wide = b.and_n(&wide_pins);
+        let (ram, outs) = b.ram(clk, c, &[a, first], &[second, both]);
+        b.output("o", wide);
+        b.output("r", outs[1]);
+        let nl = b.finish().unwrap();
+
+        assert_eq!(nl.find("dup"), Some(second));
+        assert_eq!(nl.find("a"), Some(a));
+        assert_eq!(nl.fanouts(a), &[first, both, both, wide, ram]);
+        assert_eq!(nl.fanouts(first), &[wide, wide, ram]);
+        assert_eq!(nl.fanout_edge_count(), nl.fanin_edge_count());
+        assert_eq!(nl.cell(wide).inputs(), &wide_pins);
+        assert_eq!(nl.cell(ram).inputs(), &[clk, c, a, first, second, both]);
+        assert_eq!(nl.cell(ram).clock(), clk);
     }
 
     #[test]

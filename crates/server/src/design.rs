@@ -75,11 +75,11 @@ impl DesignArtifact {
         DesignArtifact { soc, graph }
     }
 
-    /// Approximate resident bytes (graph arrays plus a per-cell
-    /// estimate for the netlist) — the unit of the cache byte budget.
+    /// Approximate resident bytes (graph arrays plus the netlist's own
+    /// heap) — the unit of the cache byte budget.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.graph.approx_bytes() + self.soc.netlist().len() * 48
+        self.graph.approx_bytes() + self.soc.netlist().approx_bytes()
     }
 }
 

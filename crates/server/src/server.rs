@@ -530,7 +530,7 @@ fn write_loop(
         // The sender is only dropped without sending if the job closure
         // itself died outside its panic guard — answer something typed
         // rather than going silent.
-        let line = rx.recv().unwrap_or_else(|_| {
+        let mut line = rx.recv().unwrap_or_else(|_| {
             error_line(&ProtoError::new(
                 "internal",
                 "job worker dropped the result",
@@ -550,9 +550,13 @@ fn write_loop(
             }
             _ => {}
         }
+        // One write per reply. Written separately, the newline would sit
+        // in Nagle's buffer until the client's delayed ACK for the line
+        // arrived, ~40 ms later on every reply of a persistent
+        // connection.
+        line.push('\n');
         if stream
             .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
             .and_then(|()| stream.flush())
             .is_err()
         {
@@ -571,8 +575,8 @@ fn write_loop(
 /// connection yields `UnexpectedEof`.
 pub fn request(addr: SocketAddr, line: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
+    // Line and newline in one write, as the daemon sends its replies.
+    stream.write_all(format!("{line}\n").as_bytes())?;
     stream.flush()?;
     let mut reader = BufReader::new(stream);
     let mut response = String::new();

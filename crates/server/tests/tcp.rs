@@ -147,6 +147,41 @@ fn one_connection_can_pipeline_requests() {
 }
 
 #[test]
+fn persistent_connection_replies_without_a_nagle_stall() {
+    // The daemon sends each reply in one write. Sent as the line and
+    // then its newline, the newline waited in Nagle's buffer for the
+    // client's delayed ACK: a median of ~44 ms per reply, against
+    // ~0.04 ms in one write, so the bound sits far from both.
+    const ROUNDS: usize = 50;
+    const MAX_MEDIAN_MS: f64 = 5.0;
+    let mut server = test_server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut call = |line: &str| -> f64 {
+        let t = Instant::now();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        ms
+    };
+    let analyze = r#"{"op":"analyze","design":{"preset":"tiny","seed":11}}"#;
+    call(analyze); // the cold build
+    let mut ping: Vec<f64> = (0..ROUNDS).map(|_| call(r#"{"op":"ping"}"#)).collect();
+    let mut warm: Vec<f64> = (0..ROUNDS).map(|_| call(analyze)).collect();
+    for (what, ms) in [("ping", &mut ping), ("warm analyze", &mut warm)] {
+        ms.sort_by(f64::total_cmp);
+        let median = ms[ROUNDS / 2];
+        assert!(
+            median < MAX_MEDIAN_MS,
+            "{what}: median {median:.2} ms over {ROUNDS} replies on one connection"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_tcp_clients_get_deterministic_reports() {
     let mut server = test_server();
     let addr = server.addr();
@@ -254,6 +289,41 @@ fn deeply_nested_line_is_a_typed_bad_request() {
     );
 
     // The same daemon, on the same connection, still answers.
+    stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"op\":\"ping\""), "{line}");
+    server.shutdown();
+}
+
+#[test]
+fn oversized_design_is_a_typed_bad_request() {
+    // Built, this design would need more memory than any host has; the
+    // daemon used to abort on the failed allocation.
+    let mut server = test_server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(
+            b"{\"op\":\"analyze\",\"design\":{\"preset\":\"paper_like\",\"flops_per_domain\":4000000000}}\n",
+        )
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let v = Json::parse(&line).unwrap();
+    let error = v.get("error").expect("an error reply");
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("bad-request"),
+        "{line}"
+    );
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(
+        message.contains("'flops_per_domain' must be in 0..=8192"),
+        "{message}"
+    );
+
+    // The same connection still answers.
     stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
     line.clear();
     reader.read_line(&mut line).unwrap();
