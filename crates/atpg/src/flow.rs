@@ -1,6 +1,7 @@
 //! The top-level ATPG flow: target faults, batch fault simulation,
 //! random fill and static compaction — the loop every Table 1
-//! experiment runs.
+//! experiment runs, behind one entry point, [`run_atpg`]
+//! ([`run_atpg_cancellable`] is its random-fill shorthand).
 //!
 //! The flow is generic over **both** engines it drives. Every grading
 //! step goes through [`FaultSimEngine`], so the serial compiled-kernel
@@ -8,9 +9,10 @@
 //! [`occ_fsim::ParallelFaultSim`] are interchangeable and produce
 //! identical results (the engines guarantee bit-identical masks); and
 //! every deterministic test-generation attempt goes through
-//! [`AtpgEngine`], so the scalar [`crate::ReferencePodem`] and the
-//! compiled [`crate::CompiledPodem`] are interchangeable with
-//! identical outcomes. The drop and compaction loops below ride the
+//! [`AtpgEngine`]. Products run the compiled [`crate::CompiledPodem`];
+//! the equivalence suites and `atpg_bench` hand the same loop the
+//! scalar [`crate::ReferencePodem`] oracle and check identical
+//! outcomes. The drop and compaction loops below ride the
 //! kernels unchanged: the zero-allocation rebuild and the
 //! observability-cone pruning live entirely behind
 //! [`FaultSimEngine::detect_batch`], which is what makes
@@ -72,8 +74,7 @@ pub struct AtpgStats {
     /// 64-pattern fault-simulation batches run.
     pub fsim_batches: usize,
     /// Faults pre-classified untestable by static analysis, whose
-    /// PODEM searches were skipped entirely (see
-    /// [`run_atpg_preclassified`]).
+    /// PODEM searches were skipped entirely (see [`run_atpg`]).
     pub lint_pruned: usize,
 }
 
@@ -127,9 +128,8 @@ pub trait PatternFill {
 }
 
 /// The default [`PatternFill`]: random X-fill straight from a seeded
-/// RNG, i.e. uncompressed external-ATE delivery. [`run_atpg`] with this
-/// fill is bit-identical to the historical unfilled entry points (same
-/// RNG, same draw order).
+/// RNG, i.e. uncompressed external-ATE delivery (what
+/// [`run_atpg_cancellable`] hands [`run_atpg`]).
 #[derive(Debug)]
 pub struct RandomFill {
     rng: StdRng,
@@ -190,15 +190,17 @@ fn apply_detections(
 }
 
 /// Runs the full ATPG flow for a fault universe over a set of capture
-/// procedures, grading through the given [`FaultSimEngine`] and
-/// generating through the given [`AtpgEngine`].
+/// procedures, grading through the given [`FaultSimEngine`],
+/// generating through the given [`AtpgEngine`] and delivering through
+/// the given [`PatternFill`].
 ///
 /// For each yet-undetected fault, the procedures are tried in order
 /// (skipping those whose observability cone cannot see the fault); a
-/// found test is random-filled and appended, and every 64 patterns the
-/// whole undetected list is fault-simulated to drop fortuitous
-/// detections. Optionally a reverse-order static compaction pass prunes
-/// patterns that no longer contribute, re-grading from scratch.
+/// found test goes through `fill` and is appended, and every 64
+/// patterns the whole undetected list is fault-simulated to drop
+/// fortuitous detections. Optionally a reverse-order static compaction
+/// pass prunes patterns that no longer contribute, re-grading from
+/// scratch.
 ///
 /// The searches spread over [`FaultSimEngine::worker_threads`] threads
 /// when that is more than one and the ATPG engine can
@@ -216,137 +218,54 @@ fn apply_detections(
 /// forks) return identical [`PodemOutcome`]s — so fault statuses,
 /// pattern sets and coverage reports are equal for any combination.
 ///
+/// **Pre-classified faults.** Faults in `pre_untestable` (the
+/// `occ-lint` untestability pass) are marked
+/// [`FaultStatus::Untestable`] up front and skipped by PODEM. The
+/// verdict must be *sound* (no engine can ever detect such a fault);
+/// under that contract the final pattern set is byte-identical to a run
+/// with an empty slice: the bootstrap still grades the pre-marked
+/// faults (their detection masks are zero by soundness, so no pattern
+/// is kept on their account), the PODEM loop skips them exactly as it
+/// skips any other non-`Undetected` status, and compaction carries the
+/// verdict through. The only admissible difference is classification
+/// *labels* on faults whose unpruned search would have hit the
+/// backtrack limit (`Aborted` vs `Untestable`); `stats.lint_pruned`
+/// counts the skipped searches.
+///
+/// **Pattern delivery.** Every bootstrap pattern and every PODEM cube
+/// goes through `fill`, so a compressed delivery architecture (EDT) can
+/// replace random X-fill without touching the search. Two behaviours
+/// are only reachable with a fill other than [`RandomFill`]: a *split*
+/// delivery (more than one pattern per cube) is immediately graded
+/// against its target fault — the cube's detection guarantee does not
+/// survive re-encoding — and a fault whose every found test is
+/// *undeliverable* stays [`FaultStatus::Undetected`] (the search
+/// succeeded; the delivery architecture failed), never `Untestable` or
+/// `Aborted`.
+///
+/// **Cancellation.** `cancel` is attached to the grading engine and
+/// polled at every batch boundary (per random-bootstrap chunk, per
+/// PODEM target, per compaction pattern). When it trips — explicit
+/// cancel or an expired deadline — the run abandons all partial state;
+/// an `Ok` result is never built from a truncated grading pass (the
+/// cause is re-checked after the last batch, and trip states are
+/// permanent). Latency is bounded by one PODEM search (per search
+/// worker) plus one 64-wide fault-simulation block; no search worker
+/// outlives the call.
+///
+/// # Errors
+///
+/// Returns the [`CancelCause`] when the token trips before the run
+/// completes.
+///
 /// # Panics
 ///
 /// Panics if `procedures` is empty (`occ-flow` validates this ahead of
-/// time and returns a typed error instead).
-pub fn run_atpg(
-    model: &CaptureModel<'_>,
-    procedures: &[FrameSpec],
-    universe: FaultUniverse,
-    options: &AtpgOptions,
-    engine: &mut dyn FaultSimEngine,
-    podem: &mut dyn AtpgEngine,
-) -> AtpgResult {
-    run_atpg_preclassified(model, procedures, universe, options, engine, podem, &[])
-}
-
-/// [`run_atpg`] with a static-analysis verdict: faults in
-/// `pre_untestable` (the `occ-lint` untestability pass) are marked
-/// [`FaultStatus::Untestable`] up front and **skipped by PODEM** — the
-/// perf hook of the lint layer.
-///
-/// The pre-classification must be *sound* (no engine can ever detect
-/// such a fault); under that contract the final pattern set is
-/// byte-identical to an unpruned run: the bootstrap still grades the
-/// pre-marked faults (their detection masks are zero by soundness, so
-/// no pattern is kept on their account), the PODEM loop skips them
-/// exactly as it skips any other non-`Undetected` status, and
-/// compaction carries the verdict through. The only admissible
-/// difference is classification *labels* on faults whose unpruned
-/// search would have hit the backtrack limit (`Aborted` vs
-/// `Untestable`); `stats.lint_pruned` counts the skipped searches.
-///
-/// # Panics
-///
-/// Panics if `procedures` is empty, like [`run_atpg`], or if a
-/// pre-classified fault is not in `universe` (compute the verdict over
-/// the same collapsed universe the run targets).
-#[allow(clippy::too_many_arguments)]
-pub fn run_atpg_preclassified(
-    model: &CaptureModel<'_>,
-    procedures: &[FrameSpec],
-    universe: FaultUniverse,
-    options: &AtpgOptions,
-    engine: &mut dyn FaultSimEngine,
-    podem: &mut dyn AtpgEngine,
-    pre_untestable: &[occ_fault::Fault],
-) -> AtpgResult {
-    match run_atpg_cancellable(
-        model,
-        procedures,
-        universe,
-        options,
-        engine,
-        podem,
-        pre_untestable,
-        &CancelToken::never(),
-    ) {
-        Ok(result) => result,
-        Err(cause) => unreachable!("a never-token cannot trip: {cause:?}"),
-    }
-}
-
-/// [`run_atpg_preclassified`] under a cooperative [`CancelToken`]: the
-/// token is attached to the grading engine and polled at every batch
-/// boundary (per random-bootstrap chunk, per PODEM target, per
-/// compaction pattern). When it trips — explicit cancel or an expired
-/// deadline — the run abandons all partial state and returns the
-/// [`CancelCause`]; an `Ok` result is never built from a truncated
-/// grading pass (the cause is re-checked after the last batch, and trip
-/// states are permanent).
-///
-/// Cancellation latency is bounded by one PODEM search (per search
-/// worker) plus one 64-wide fault-simulation block, not by the whole
-/// run; no search worker outlives the call.
-///
-/// # Errors
-///
-/// Returns the [`CancelCause`] when the token trips before the run
-/// completes.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_atpg_preclassified`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_atpg_cancellable(
-    model: &CaptureModel<'_>,
-    procedures: &[FrameSpec],
-    universe: FaultUniverse,
-    options: &AtpgOptions,
-    engine: &mut dyn FaultSimEngine,
-    podem: &mut dyn AtpgEngine,
-    pre_untestable: &[occ_fault::Fault],
-    cancel: &CancelToken,
-) -> Result<AtpgResult, CancelCause> {
-    let mut fill = RandomFill::new(options.fill_seed);
-    run_atpg_filled(
-        model,
-        procedures,
-        universe,
-        options,
-        engine,
-        podem,
-        pre_untestable,
-        cancel,
-        &mut fill,
-    )
-}
-
-/// [`run_atpg_cancellable`] with an explicit [`PatternFill`] delivery
-/// seam: every bootstrap pattern and every PODEM cube goes through
-/// `fill`, so a compressed delivery architecture (EDT) can replace
-/// random X-fill without touching the search.
-///
-/// Two behavioral deltas versus the plain entry points, both only
-/// reachable with a non-trivial fill: a *split* delivery (more than one
-/// pattern per cube) is immediately graded against its target fault —
-/// the cube's detection guarantee does not survive re-encoding — and a
-/// fault whose every found test is *undeliverable* stays
-/// [`FaultStatus::Undetected`] (the search succeeded; the delivery
-/// architecture failed), never `Untestable` or `Aborted`. With
-/// [`RandomFill`] the results are bit-identical to [`run_atpg`].
-///
-/// # Errors
-///
-/// Returns the [`CancelCause`] when the token trips before the run
-/// completes.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_atpg_preclassified`].
+/// time and returns a typed error instead), or if a pre-classified
+/// fault is not in `universe` (compute the verdict over the same
+/// collapsed universe the run targets).
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub fn run_atpg_filled(
+pub fn run_atpg(
     model: &CaptureModel<'_>,
     procedures: &[FrameSpec],
     universe: FaultUniverse,
@@ -520,6 +439,42 @@ pub fn run_atpg_filled(
         faults: list,
         stats,
     })
+}
+
+/// [`run_atpg`] with [`RandomFill`] seeded from
+/// [`AtpgOptions::fill_seed`]: uncompressed external-ATE delivery.
+///
+/// # Errors
+///
+/// Returns the [`CancelCause`] when the token trips before the run
+/// completes.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`run_atpg`].
+#[allow(clippy::too_many_arguments)]
+pub fn run_atpg_cancellable(
+    model: &CaptureModel<'_>,
+    procedures: &[FrameSpec],
+    universe: FaultUniverse,
+    options: &AtpgOptions,
+    engine: &mut dyn FaultSimEngine,
+    podem: &mut dyn AtpgEngine,
+    pre_untestable: &[occ_fault::Fault],
+    cancel: &CancelToken,
+) -> Result<AtpgResult, CancelCause> {
+    let mut fill = RandomFill::new(options.fill_seed);
+    run_atpg(
+        model,
+        procedures,
+        universe,
+        options,
+        engine,
+        podem,
+        pre_untestable,
+        cancel,
+        &mut fill,
+    )
 }
 
 /// Speculative searches in flight per worker thread: how far the
@@ -1053,7 +1008,7 @@ fn reverse_compact(
             }
         }
     }
-    // See run_atpg_cancellable: a live token here proves no truncation.
+    // See run_atpg: a live token here proves no truncation.
     if let Some(cause) = cancel.cause() {
         return Err(cause);
     }
@@ -1094,7 +1049,17 @@ mod tests {
     ) -> AtpgResult {
         let mut engine = FaultSim::new(model);
         let mut podem = crate::CompiledPodem::new(model);
-        run_atpg(model, procs, universe, options, &mut engine, &mut podem)
+        run_atpg_cancellable(
+            model,
+            procs,
+            universe,
+            options,
+            &mut engine,
+            &mut podem,
+            &[],
+            &CancelToken::never(),
+        )
+        .expect("a never-token cannot trip")
     }
 
     #[test]
@@ -1196,14 +1161,17 @@ mod tests {
         let serial = run_serial(&model, &procs, uni.clone(), &options);
         let mut sharded_engine = ParallelFaultSim::with_threads(&model, 4).block_size(2);
         let mut podem = crate::CompiledPodem::new(&model);
-        let sharded = run_atpg(
+        let sharded = run_atpg_cancellable(
             &model,
             &procs,
             uni,
             &options,
             &mut sharded_engine,
             &mut podem,
-        );
+            &[],
+            &CancelToken::never(),
+        )
+        .expect("a never-token cannot trip");
 
         assert_eq!(serial.report(), sharded.report());
         assert_eq!(serial.patterns.len(), sharded.patterns.len());

@@ -21,12 +21,17 @@
 //! * structural fault grouping of the leftovers (the paper's §6 future
 //!   work): cross-domain, PO-masked-only, PI-held-only, non-scan- and
 //!   RAM-dependent;
+//! * one entry point, [`run_atpg`] (with [`run_atpg_cancellable`] as
+//!   its random-fill shorthand), taking the fault-sim engine, the ATPG
+//!   engine, the lint verdict, a cancel token and the pattern-delivery
+//!   [`PatternFill`];
 //! * a pluggable [`AtpgEngine`] trait (the generation-side analogue of
-//!   [`occ_fsim::FaultSimEngine`]): the retained scalar
-//!   [`ReferencePodem`] and the compiled incremental [`CompiledPodem`]
-//!   (flat lookup tables, stamped scratch, changed-cone re-simulation
-//!   through [`DualGraphSim`]) produce identical outcomes — the
-//!   compiled engine is just faster and allocation-free per decision;
+//!   [`occ_fsim::FaultSimEngine`]): the compiled incremental
+//!   [`CompiledPodem`] (flat lookup tables, stamped scratch,
+//!   changed-cone re-simulation through [`DualGraphSim`]) is the engine
+//!   flows run; the retained scalar [`ReferencePodem`] is the oracle
+//!   the equivalence suites and benches check it against, with
+//!   identical outcomes;
 //! * fault-parallel search: engines that [fork](AtpgEngine::fork)
 //!   search ahead of an in-order commit on the fault simulator's worker
 //!   threads, with results identical at any thread count.
@@ -48,8 +53,7 @@ pub use compiled::CompiledPodem;
 pub use dualsim::{DualGraphSim, DualSim};
 pub use engine::{AtpgEngine, AtpgKernelStats};
 pub use flow::{
-    run_atpg, run_atpg_cancellable, run_atpg_filled, run_atpg_preclassified, AtpgOptions,
-    AtpgResult, AtpgStats, PatternFill, RandomFill,
+    run_atpg, run_atpg_cancellable, AtpgOptions, AtpgResult, AtpgStats, PatternFill, RandomFill,
 };
 pub use podem::{PodemOutcome, ReferencePodem};
 pub use reach::Observability;

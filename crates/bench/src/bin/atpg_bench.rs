@@ -20,11 +20,11 @@
 //!   (including per-fault pattern setup) and capped at
 //!   [`MAX_ALLOCS_PER_DECISION`].
 //! * **Lint-pruned identity** (hardware-independent, always on): the
-//!   full lint → `run_atpg_preclassified` flow must skip at least one
-//!   PODEM search on the SOC and still produce a pattern set
-//!   byte-identical to the unpruned `run_atpg` (same procedure
-//!   indices, scan loads, PI fills, coverage). The skipped-search
-//!   count and both wall-clocks land in the JSON as the `lint` row.
+//!   full lint → pre-classified ATPG flow must skip at least one PODEM
+//!   search on the SOC and still produce a pattern set byte-identical
+//!   to the unpruned run (same procedure indices, scan loads, PI
+//!   fills, coverage). The skipped-search count and both wall-clocks
+//!   land in the JSON as the `lint` row.
 //! * **Parallel-search identity** (hardware-independent, always on):
 //!   Table-1 row (d) is run through `TestFlow` with its search on one
 //!   thread and on every available thread; the pattern sets, per-fault
@@ -45,15 +45,15 @@ mod alloc_track;
 static ALLOC: alloc_track::CountingAlloc = alloc_track::CountingAlloc;
 
 use occ_atpg::{
-    run_atpg, run_atpg_preclassified, AtpgEngine, AtpgOptions, AtpgResult, CompiledPodem,
-    Observability, PodemOutcome, ReferencePodem,
+    run_atpg_cancellable, AtpgEngine, AtpgOptions, AtpgResult, CompiledPodem, Observability,
+    PodemOutcome, ReferencePodem,
 };
 use occ_bench::gate::{self, Gate};
 use occ_bench::{run_experiment, ExperimentId, Table1Options};
 use occ_core::ClockingMode;
 use occ_fault::FaultUniverse;
 use occ_flow::{EngineChoice, FlowReport, Stage};
-use occ_fsim::{CaptureModel, FaultSim, FrameSpec};
+use occ_fsim::{CancelToken, CaptureModel, FaultSim, FrameSpec};
 use occ_lint::Linter;
 use occ_soc::{generate, SocConfig};
 use std::fmt::Write as _;
@@ -316,8 +316,8 @@ fn run_engine(
     )
 }
 
-/// Runs the full lint → `run_atpg_preclassified` flow next to the
-/// plain `run_atpg` on the same universe, times both, and hard-gates
+/// Runs the full lint → pre-classified ATPG flow next to the plain,
+/// unpruned run on the same universe, times both, and hard-gates
 /// on identical results: the statically proven untestable set may
 /// change how much work ATPG does, never what it produces.
 fn run_lint_pruned(
@@ -340,17 +340,20 @@ fn run_lint_pruned(
     let mut engine = FaultSim::new(model);
     let mut podem = CompiledPodem::new(model);
     let t0 = Instant::now();
-    let plain = run_atpg(
+    let plain = run_atpg_cancellable(
         model,
         procedures,
         universe.clone(),
         &options,
         &mut engine,
         &mut podem,
-    );
+        &[],
+        &CancelToken::never(),
+    )
+    .expect("a never-token cannot trip");
     let plain_seconds = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let pruned = run_atpg_preclassified(
+    let pruned = run_atpg_cancellable(
         model,
         procedures,
         universe,
@@ -358,7 +361,9 @@ fn run_lint_pruned(
         &mut engine,
         &mut podem,
         &report.untestable,
-    );
+        &CancelToken::never(),
+    )
+    .expect("a never-token cannot trip");
     let pruned_seconds = t0.elapsed().as_secs_f64();
 
     if pruned.stats.lint_pruned == 0 {

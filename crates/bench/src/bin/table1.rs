@@ -4,19 +4,17 @@
 //! Usage:
 //! ```text
 //! table1 [row] [--flops N] [--seed S] [--limit B] [--threads N]
-//!        [--engine serial|auto|sharded:N]
-//!        [--atpg-engine reference|compiled] [--timing]
+//!        [--engine serial|auto|sharded:N] [--timing]
 //!        [--lint [deny|warn]] [--trace] [--sources] [--csv] [--verbose]
 //! ```
 //! With no row, all five experiments run and the full table plus the
 //! paper-shape checks are printed. With a row label (`a`..`e`), only
 //! that experiment runs. The fault-sim engine defaults to `auto` (all
 //! available hardware parallelism); `--threads N` is shorthand for
-//! `--engine sharded:N`. The ATPG engine defaults to `compiled`
-//! (identical results to `reference`, faster). `--timing` adds the
-//! slack-aware delay-test-quality pass and prints the paper-style
-//! per-clocking-mode quality comparison (SDQL, weighted coverage,
-//! capture windows). `--lint` runs the pre-ATPG static design-rule /
+//! `--engine sharded:N`. `--timing` adds the slack-aware
+//! delay-test-quality pass and prints the paper-style per-clocking-mode
+//! quality comparison (SDQL, weighted coverage, capture windows).
+//! `--lint` runs the pre-ATPG static design-rule /
 //! testability analysis (gate defaults to `deny`; error-severity
 //! violations abort the run) and pre-classifies structurally
 //! untestable faults so their PODEM searches are skipped — coverage
@@ -79,7 +77,6 @@ fn main() {
                 };
             }
             "--engine" => options.engine = parsed_value(&mut args, "--engine"),
-            "--atpg-engine" => options.atpg_engine = parsed_value(&mut args, "--atpg-engine"),
             "--timing" => options.timing = true,
             "--lint" => {
                 // Optional gate value: `--lint warn` / `--lint deny`;

@@ -3,8 +3,7 @@
 use occ_atpg::AtpgOptions;
 use occ_core::ClockingMode;
 use occ_flow::{
-    AtpgEngineChoice, BistConfig, EdtConfig, EngineChoice, FaultKind, FlowError, FlowReport,
-    PatternSource, TestFlow,
+    BistConfig, EdtConfig, EngineChoice, FaultKind, FlowError, FlowReport, PatternSource, TestFlow,
 };
 use occ_server::{CacheStats, FlowService, JobCacheStats, JobSpec};
 use occ_sim::DelayModel;
@@ -140,8 +139,6 @@ pub struct Table1Options {
     pub backtrack_limit: usize,
     /// Fault-simulation engine all experiments grade through.
     pub engine: EngineChoice,
-    /// ATPG engine all experiments generate through.
-    pub atpg_engine: AtpgEngineChoice,
     /// Run the delay-test-quality stage (default delay model) and
     /// print the per-clocking-mode quality comparison.
     pub timing: bool,
@@ -161,7 +158,6 @@ impl Default for Table1Options {
             flops_per_domain: 120,
             backtrack_limit: 48,
             engine: EngineChoice::Auto,
-            atpg_engine: AtpgEngineChoice::Compiled,
             timing: false,
             lint: None,
             trace: false,
@@ -214,7 +210,6 @@ pub fn run_experiment(
         .fault_model(fault_kind)
         .mask_bidi(mask_bidi)
         .engine(options.engine)
-        .atpg_engine(options.atpg_engine)
         .trace(options.trace)
         .atpg(AtpgOptions {
             backtrack_limit: options.backtrack_limit,
@@ -247,7 +242,6 @@ pub fn job_spec(design: SocConfig, id: ExperimentId, options: &Table1Options) ->
     spec.clocking = mode;
     spec.fault_model = fault_kind;
     spec.engine = options.engine;
-    spec.atpg_engine = options.atpg_engine;
     spec.atpg = AtpgOptions {
         backtrack_limit: options.backtrack_limit,
         ..AtpgOptions::default()

@@ -7,10 +7,10 @@ use crate::artifacts::{build_procedures, validate_procedures, FlowArtifacts};
 use crate::report::{LintBlock, TraceBlock};
 use crate::source::{PatternSource, PatternSourceBlock};
 use crate::timing::{run_quality, TimingConfig, DEFAULT_DOMAIN_PERIOD_PS};
-use crate::{AtpgEngineChoice, EngineChoice, FlowError, FlowReport, Stage, StageTiming};
+use crate::{EngineChoice, FlowError, FlowReport, Stage, StageTiming};
 use occ_atpg::{
-    classify_faults, run_atpg_cancellable, run_atpg_filled, AtpgEngine, AtpgKernelStats,
-    AtpgOptions, AtpgResult, AtpgStats, CompiledPodem, ReferencePodem,
+    classify_faults, run_atpg, AtpgEngine, AtpgKernelStats, AtpgOptions, AtpgResult, AtpgStats,
+    CompiledPodem, PatternFill, RandomFill,
 };
 use occ_bist::{regrade_edt, run_lbist, x_source_count, ChainMap, EdtFill};
 use occ_core::{ClockDomainSpec, ClockingMode};
@@ -71,7 +71,6 @@ pub struct TestFlow<'s> {
     clocking: ClockingMode,
     fault_model: FaultModel,
     engine: EngineChoice,
-    atpg_engine: AtpgEngineChoice,
     atpg: AtpgOptions,
     mask_bidi: bool,
     timing: Option<TimingConfig>,
@@ -86,24 +85,10 @@ impl<'s> TestFlow<'s> {
     /// Starts a flow over a generated SOC.
     ///
     /// Defaults: ideal external clock (4 pulses), transition faults,
-    /// serial fault-sim engine, compiled ATPG engine, default
-    /// [`AtpgOptions`], bidi feedback unmasked.
+    /// serial fault-sim engine, default [`AtpgOptions`], bidi feedback
+    /// unmasked.
     pub fn new(soc: &'s Soc) -> Self {
-        TestFlow {
-            source: Source::Soc(soc),
-            clocking: ClockingMode::ExternalClock { max_pulses: 4 },
-            fault_model: FaultModel::Transition,
-            engine: EngineChoice::Serial,
-            atpg_engine: AtpgEngineChoice::Compiled,
-            atpg: AtpgOptions::default(),
-            mask_bidi: false,
-            timing: None,
-            lint: None,
-            pattern_source: PatternSource::ExternalAtpg,
-            artifacts: FlowArtifacts::default(),
-            cancel: CancelToken::never(),
-            trace: false,
-        }
+        Self::from_source(Source::Soc(soc))
     }
 
     /// Starts a flow over an arbitrary netlist with an explicit clock
@@ -111,12 +96,16 @@ impl<'s> TestFlow<'s> {
     /// tests). `mask_bidi` has no effect on this source — the binding
     /// already says what is masked.
     pub fn over(netlist: &'s Netlist, binding: ClockBinding) -> Self {
+        Self::from_source(Source::Model { netlist, binding })
+    }
+
+    /// The defaults both public constructors share.
+    fn from_source(source: Source<'s>) -> Self {
         TestFlow {
-            source: Source::Model { netlist, binding },
+            source,
             clocking: ClockingMode::ExternalClock { max_pulses: 4 },
             fault_model: FaultModel::Transition,
             engine: EngineChoice::Serial,
-            atpg_engine: AtpgEngineChoice::Compiled,
             atpg: AtpgOptions::default(),
             mask_bidi: false,
             timing: None,
@@ -147,14 +136,6 @@ impl<'s> TestFlow<'s> {
     #[must_use]
     pub fn engine(mut self, choice: EngineChoice) -> Self {
         self.engine = choice;
-        self
-    }
-
-    /// Selects the ATPG (test-generation) engine. Both choices
-    /// produce identical outcomes; the compiled default is faster.
-    #[must_use]
-    pub fn atpg_engine(mut self, choice: AtpgEngineChoice) -> Self {
-        self.atpg_engine = choice;
         self
     }
 
@@ -211,7 +192,7 @@ impl<'s> TestFlow<'s> {
     /// are pre-classified as [`occ_fault::FaultStatus::Untestable`]
     /// and their PODEM searches skipped — the resulting pattern set
     /// and coverage are identical to the unlinted flow (the proofs are
-    /// sound; see [`occ_atpg::run_atpg_preclassified`]).
+    /// sound; see [`occ_atpg::run_atpg`]).
     #[must_use]
     pub fn lint(mut self, gate: LintGate) -> Self {
         self.lint = Some(gate);
@@ -442,11 +423,10 @@ impl<'s> TestFlow<'s> {
                 };
                 (result, outcome.kernel, AtpgKernelStats::default())
             } else {
-                let mut atpg_guard = Some(occ_obs::stage_span(Stage::Atpg.label()));
+                let atpg_guard = occ_obs::stage_span(Stage::Atpg.label());
                 // Both fault-sim engines implement FaultSimEngine and yield
-                // bit-identical masks; both ATPG engines implement AtpgEngine
-                // and yield identical outcomes. The flow is generic over the
-                // trait objects.
+                // bit-identical masks; the flow is generic over the trait
+                // object.
                 let mut serial;
                 let mut sharded;
                 let engine: &mut dyn FaultSimEngine = match self.engine {
@@ -459,92 +439,76 @@ impl<'s> TestFlow<'s> {
                         &mut sharded
                     }
                 };
-                let mut reference_podem;
-                let mut compiled_podem;
-                let podem: &mut dyn AtpgEngine = match self.atpg_engine {
-                    AtpgEngineChoice::Reference => {
-                        reference_podem = ReferencePodem::new(&model);
-                        &mut reference_podem
-                    }
-                    AtpgEngineChoice::Compiled => {
-                        compiled_podem = CompiledPodem::new(&model);
-                        &mut compiled_podem
-                    }
-                };
-                let result = match &self.pattern_source {
+                let mut podem = CompiledPodem::new(&model);
+                // EDT delivers every ATPG cube through the decompressor
+                // instead of directly from the tester; external ATPG
+                // random-fills.
+                let mut edt = match &self.pattern_source {
                     PatternSource::Edt(cfg) => {
-                        // Every ATPG cube is delivered through the EDT
-                        // decompressor instead of directly by the tester.
                         let Source::Soc(soc) = &self.source else {
                             return Err(FlowError::PatternSourceNeedsSoc { source: "edt" });
                         };
                         let map = ChainMap::new(&model, soc.chains());
                         let cfg = resolve_edt_geometry(cfg, &map)?;
-                        let codec = EdtCodec::new(cfg.clone());
-                        let mut fill =
-                            EdtFill::new(EdtCodec::new(cfg), map.clone(), self.atpg.fill_seed);
-                        let mut result = run_atpg_filled(
-                            &model,
-                            &procedures,
-                            universe,
-                            &self.atpg,
-                            engine,
-                            podem,
-                            pre_untestable,
-                            &self.cancel,
-                            &mut fill,
-                        )?;
-                        drop(atpg_guard.take());
-                        // Re-grade the final pattern set under compacted
-                        // observation: detections that die to XOR
-                        // cancellation or X-poisoning in the compactor are
-                        // taken away again, with the loss accounted.
-                        let stage_guard = occ_obs::stage_span(Stage::PatternSource.label());
-                        let (faults, grade) = regrade_edt(
-                            &model,
-                            &procedures,
-                            &result.patterns,
-                            &result.faults,
-                            &codec,
-                            &map,
-                            &self.cancel,
-                        )?;
-                        result.faults = faults;
-                        drop(stage_guard);
-                        pattern_source = Some(PatternSourceBlock {
-                            source: "edt".to_owned(),
-                            kernel_detected: grade.kernel_detected,
-                            source_detected: grade.edt_detected,
-                            aliased: 0,
-                            compactor_masked: grade.compactor_masked,
-                            x_masked: grade.x_masked,
-                            signature: None,
-                            signature_valid: None,
-                            x_sources: 0,
-                            compression_ratio: fill.compression_ratio(),
-                            encode_splits: fill.splits(),
-                            dropped_cubes: fill.dropped_cubes(),
-                        });
-                        result
+                        let codec = EdtCodec::new(cfg);
+                        let fill = EdtFill::new(codec.clone(), map.clone(), self.atpg.fill_seed);
+                        Some((codec, map, fill))
                     }
-                    _ => {
-                        let result = run_atpg_cancellable(
-                            &model,
-                            &procedures,
-                            universe,
-                            &self.atpg,
-                            engine,
-                            podem,
-                            pre_untestable,
-                            &self.cancel,
-                        )?;
-                        drop(atpg_guard.take());
-                        result
+                    _ => None,
+                };
+                let mut random;
+                let fill: &mut dyn PatternFill = match &mut edt {
+                    Some((_, _, fill)) => fill,
+                    None => {
+                        random = RandomFill::new(self.atpg.fill_seed);
+                        &mut random
                     }
                 };
-                let kernel = engine.kernel_stats();
-                let atpg_kernel = podem.kernel_stats();
-                (result, kernel, atpg_kernel)
+                let mut result = run_atpg(
+                    &model,
+                    &procedures,
+                    universe,
+                    &self.atpg,
+                    engine,
+                    &mut podem,
+                    pre_untestable,
+                    &self.cancel,
+                    fill,
+                )?;
+                drop(atpg_guard);
+                if let Some((codec, map, fill)) = &edt {
+                    // Re-grade the final pattern set under compacted
+                    // observation: detections that die to XOR
+                    // cancellation or X-poisoning in the compactor are
+                    // taken away again, with the loss accounted.
+                    let stage_guard = occ_obs::stage_span(Stage::PatternSource.label());
+                    let (faults, grade) = regrade_edt(
+                        &model,
+                        &procedures,
+                        &result.patterns,
+                        &result.faults,
+                        codec,
+                        map,
+                        &self.cancel,
+                    )?;
+                    result.faults = faults;
+                    drop(stage_guard);
+                    pattern_source = Some(PatternSourceBlock {
+                        source: "edt".to_owned(),
+                        kernel_detected: grade.kernel_detected,
+                        source_detected: grade.edt_detected,
+                        aliased: 0,
+                        compactor_masked: grade.compactor_masked,
+                        x_masked: grade.x_masked,
+                        signature: None,
+                        signature_valid: None,
+                        x_sources: 0,
+                        compression_ratio: fill.compression_ratio(),
+                        encode_splits: fill.splits(),
+                        dropped_cubes: fill.dropped_cubes(),
+                    });
+                }
+                (result, engine.kernel_stats(), podem.kernel_stats())
             };
 
         let stage_guard = occ_obs::stage_span(Stage::Classify.label());
@@ -600,7 +564,6 @@ impl<'s> TestFlow<'s> {
             clocking: self.clocking,
             fault_model: self.fault_model,
             engine: self.engine.label().to_owned(),
-            atpg_engine: self.atpg_engine.label().to_owned(),
             threads,
             procedures: procedures.len(),
             stages,
@@ -676,8 +639,20 @@ impl<'s> TestFlow<'s> {
 /// the channel count — a ring much longer than the variables a
 /// channel can inject within warmup leaves decompressor outputs
 /// structurally constant, so `auto` sizes it at 8 cells per channel.
-/// An explicit config must match the design exactly.
+/// An explicit config must match the design exactly. Either way the
+/// channel count must lie in `1..=chains` — checked before anything is
+/// sized by it, since the codec's tables grow with it.
 fn resolve_edt_geometry(cfg: &EdtConfig, map: &ChainMap) -> Result<EdtConfig, FlowError> {
+    let check_channels = |channels: usize| {
+        if (1..=map.chains()).contains(&channels) {
+            Ok(())
+        } else {
+            Err(FlowError::EdtChannelCount {
+                channels,
+                chains: map.chains(),
+            })
+        }
+    };
     if cfg.chains == 0 {
         let chains = map.chains();
         let channels = if cfg.channels > 0 {
@@ -685,6 +660,7 @@ fn resolve_edt_geometry(cfg: &EdtConfig, map: &ChainMap) -> Result<EdtConfig, Fl
         } else {
             (chains / 10).max(1)
         };
+        check_channels(channels)?;
         let lfsr_len = if cfg.lfsr_len > 0 {
             cfg.lfsr_len
         } else {
@@ -705,5 +681,6 @@ fn resolve_edt_geometry(cfg: &EdtConfig, map: &ChainMap) -> Result<EdtConfig, Fl
             design: (map.chains(), map.shift_len()),
         });
     }
+    check_channels(cfg.channels)?;
     Ok(cfg.clone())
 }

@@ -1,6 +1,6 @@
 //! Engine selection: which [`occ_fsim::FaultSimEngine`] a flow grades
-//! faults with, and which [`occ_atpg::AtpgEngine`] generates its
-//! tests.
+//! faults with. Test generation always runs the compiled
+//! [`occ_atpg::CompiledPodem`].
 
 use crate::FlowError;
 use std::fmt;
@@ -99,81 +99,9 @@ impl FromStr for EngineChoice {
     }
 }
 
-/// The ATPG (test-generation) engine a [`TestFlow`](crate::TestFlow)
-/// runs. Both choices produce identical outcomes — the compiled engine
-/// makes exactly the same decisions over a zero-allocation incremental
-/// value engine; the reference engine is the retained oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AtpgEngineChoice {
-    /// The retained scalar PODEM ([`occ_atpg::ReferencePodem`]).
-    Reference,
-    /// The compiled incremental PODEM ([`occ_atpg::CompiledPodem`]).
-    #[default]
-    Compiled,
-}
-
-impl AtpgEngineChoice {
-    /// The engine label reports carry: `reference` or `compiled`.
-    pub fn label(self) -> &'static str {
-        match self {
-            AtpgEngineChoice::Reference => "reference",
-            AtpgEngineChoice::Compiled => "compiled",
-        }
-    }
-}
-
-impl fmt::Display for AtpgEngineChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Error parsing an [`AtpgEngineChoice`] label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseAtpgEngineChoiceError {
-    input: String,
-}
-
-impl fmt::Display for ParseAtpgEngineChoiceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown ATPG engine '{}' (expected reference or compiled)",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseAtpgEngineChoiceError {}
-
-impl FromStr for AtpgEngineChoice {
-    type Err = ParseAtpgEngineChoiceError;
-
-    /// Parses `reference` or `compiled` (what `--atpg-engine` CLI
-    /// switches route through).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "reference" => Ok(AtpgEngineChoice::Reference),
-            "compiled" => Ok(AtpgEngineChoice::Compiled),
-            _ => Err(ParseAtpgEngineChoiceError {
-                input: s.to_owned(),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn atpg_engine_parsing() {
-        assert_eq!("reference".parse(), Ok(AtpgEngineChoice::Reference));
-        assert_eq!(" Compiled ".parse(), Ok(AtpgEngineChoice::Compiled));
-        assert!("podem".parse::<AtpgEngineChoice>().is_err());
-        assert_eq!(AtpgEngineChoice::default(), AtpgEngineChoice::Compiled);
-        assert_eq!(AtpgEngineChoice::Reference.to_string(), "reference");
-    }
 
     #[test]
     fn resolution_and_parsing() {

@@ -65,6 +65,15 @@ pub enum FlowError {
         /// Chains/shift length the design actually has.
         design: (usize, usize),
     },
+    /// An [`EdtConfig`](occ_dft::EdtConfig) asks for no scan channels,
+    /// or for more channels than the design has chains: every channel
+    /// feeds at least one chain.
+    EdtChannelCount {
+        /// Channels the config asks for.
+        channels: usize,
+        /// Scan chains the design has.
+        chains: usize,
+    },
     /// The flow's [`CancelToken`] was cancelled explicitly (a draining
     /// server abandoning in-flight work); all partial state was
     /// discarded.
@@ -121,6 +130,11 @@ impl fmt::Display for FlowError {
                 "EDT config geometry ({} chains x {} cycles) does not match \
                  the design ({} chains x {} cycles); set chains to 0 to derive it",
                 config.0, config.1, design.0, design.1
+            ),
+            FlowError::EdtChannelCount { channels, chains } => write!(
+                f,
+                "EDT config asks for {channels} scan channel(s); the design's \
+                 {chains} chain(s) allow 1..={chains}"
             ),
             FlowError::Cancelled => f.write_str("flow cancelled before completion"),
             FlowError::DeadlineExceeded => f.write_str("flow deadline exceeded before completion"),

@@ -63,9 +63,7 @@ mod timing;
 
 pub use artifacts::{build_procedures, validate_procedures, FlowArtifacts};
 pub use builder::TestFlow;
-pub use engine::{
-    AtpgEngineChoice, EngineChoice, ParseAtpgEngineChoiceError, ParseEngineChoiceError,
-};
+pub use engine::{EngineChoice, ParseEngineChoiceError};
 pub use error::FlowError;
 pub use report::{write_json_string, FlowReport, LintBlock, Stage, StageTiming, TraceBlock};
 pub use source::{PatternSource, PatternSourceBlock};

@@ -122,8 +122,6 @@ pub struct FlowReport {
     pub fault_model: FaultModel,
     /// Fault-sim engine label (`serial` / `sharded` / `auto`).
     pub engine: String,
-    /// ATPG engine label (`reference` / `compiled`).
-    pub atpg_engine: String,
     /// Resolved worker-thread count.
     pub threads: usize,
     /// Number of capture procedures offered to ATPG.
@@ -140,8 +138,7 @@ pub struct FlowReport {
     /// propagated). All-zero for engines without a compiled kernel.
     pub kernel: KernelStats,
     /// ATPG kernel statistics: PODEM decisions and backtracks, value-
-    /// engine events and incremental vs full re-simulations. Events
-    /// are zero for the reference engine (it counts nothing).
+    /// engine events and incremental vs full re-simulations.
     pub atpg_kernel: AtpgKernelStats,
     /// The lint stage's gate and findings. `None` unless the flow ran
     /// with `TestFlow::lint` — reports of unlinted flows are
@@ -218,12 +215,10 @@ impl FlowReport {
         write!(
             w,
             "{{\"design\":{},\"clocking\":{},\"fault_model\":\"{fm}\",\
-             \"engine\":{},\"atpg_engine\":{},\"threads\":{},\
-             \"procedures\":{},\"patterns\":{}",
+             \"engine\":{},\"threads\":{},\"procedures\":{},\"patterns\":{}",
             json_string(&self.design),
             json_string(&self.clocking.label()),
             json_string(&self.engine),
-            json_string(&self.atpg_engine),
             self.threads,
             self.procedures,
             self.patterns(),
@@ -395,7 +390,7 @@ impl FlowReport {
 
     /// The CSV header matching [`FlowReport::to_csv_row`].
     pub fn csv_header() -> &'static str {
-        "design,clocking,fault_model,engine,atpg_engine,threads,procedures,patterns,\
+        "design,clocking,fault_model,engine,threads,procedures,patterns,\
          total_faults,detected,untestable,aborted,constrained,undetected,\
          coverage_pct,efficiency_pct,total_seconds"
     }
@@ -408,11 +403,10 @@ impl FlowReport {
         };
         let c = &self.coverage;
         format!(
-            "{},{},{fm},{},{},{},{},{},{},{},{},{},{},{},{:.4},{:.4},{:.4}",
+            "{},{},{fm},{},{},{},{},{},{},{},{},{},{},{:.4},{:.4},{:.4}",
             csv_field(&self.design),
             self.clocking.label(),
             csv_field(&self.engine),
-            csv_field(&self.atpg_engine),
             self.threads,
             self.procedures,
             self.patterns(),
@@ -548,13 +542,8 @@ impl fmt::Display for FlowReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "flow '{}' under {} [{} engine, {} atpg, {} thread(s), {} procedures]",
-            self.design,
-            self.clocking,
-            self.engine,
-            self.atpg_engine,
-            self.threads,
-            self.procedures
+            "flow '{}' under {} [{} engine, {} thread(s), {} procedures]",
+            self.design, self.clocking, self.engine, self.threads, self.procedures
         )?;
         writeln!(
             f,

@@ -176,4 +176,42 @@ fn explicit_edt_geometry_must_match_the_design() {
         }
         other => panic!("expected geometry mismatch, got {other:?}"),
     }
+
+    // More channels than chains is a typed error, derived or explicit,
+    // before the codec is sized: `edt:4000000000` on the wire once
+    // aborted the daemon on a 32 GB allocation.
+    let chains = soc.chains().chains().len();
+    let explicit = EdtConfig::paper_like(chains, soc.chains().max_chain_len());
+    let with_channels = |cfg: &EdtConfig, channels| EdtConfig {
+        channels,
+        ..cfg.clone()
+    };
+    for cfg in [
+        with_channels(&EdtConfig::auto(), chains + 1),
+        with_channels(&EdtConfig::auto(), 4_000_000_000),
+        with_channels(&explicit, chains + 1),
+        with_channels(&explicit, 0),
+    ] {
+        let err = flow(&soc)
+            .pattern_source(PatternSource::Edt(cfg.clone()))
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FlowError::EdtChannelCount {
+                channels: cfg.channels,
+                chains
+            }
+        );
+    }
+    for cfg in [
+        with_channels(&EdtConfig::auto(), chains),
+        with_channels(&explicit, chains),
+    ] {
+        let report = flow(&soc)
+            .pattern_source(PatternSource::Edt(cfg))
+            .run()
+            .expect("one channel per chain is a valid geometry");
+        assert!(report.pattern_source.is_some());
+    }
 }

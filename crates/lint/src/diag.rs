@@ -239,8 +239,8 @@ pub struct LintReport {
     /// All findings, in rule order.
     pub diagnostics: Vec<Diagnostic>,
     /// Faults the untestability pass proved structurally untestable —
-    /// the input to ATPG pre-classification
-    /// (`occ_atpg::run_atpg_preclassified`).
+    /// the input to ATPG pre-classification (the `pre_untestable`
+    /// argument of `occ_atpg::run_atpg`).
     pub untestable: Vec<Fault>,
     /// Cells the structural rules scanned.
     pub cells_scanned: usize,

@@ -22,10 +22,10 @@
 //! | `L007` | `untestable` | info | faults proven structurally untestable from cones + SCOAP `INF` costs |
 //! | `L008` | `x-source` | warning | `TieX` / uninitialized non-scan state reaching scan-flop capture cones — the MISR observation cone LBIST signs off on |
 //!
-//! `L007` is also the perf hook: its fault list feeds
-//! [`occ_atpg::run_atpg_preclassified`], which marks the faults
-//! `Untestable` up front and skips their PODEM searches with an
-//! identical final pattern set.
+//! `L007` is also the perf hook: its fault list is the
+//! `pre_untestable` argument of [`occ_atpg::run_atpg`], which marks
+//! the faults `Untestable` up front and skips their PODEM searches with
+//! an identical final pattern set.
 //!
 //! ## Example
 //!
@@ -127,7 +127,7 @@ impl<'a> Linter<'a> {
 
     /// Runs the structural rules plus the untestability pass (`L007`)
     /// over a fault universe; the report's `untestable` list is the
-    /// input to [`occ_atpg::run_atpg_preclassified`].
+    /// `pre_untestable` input of [`occ_atpg::run_atpg`].
     pub fn run_with_universe(&self, universe: &FaultUniverse) -> LintReport {
         let mut report = self.run();
         report.faults_scanned = untestable::run(

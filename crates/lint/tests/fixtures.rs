@@ -6,12 +6,12 @@
 //! lint-pruned ATPG run must be byte-identical to the unpruned run
 //! while skipping at least one PODEM search.
 
-use occ_atpg::{run_atpg, run_atpg_preclassified, AtpgOptions, AtpgResult, CompiledPodem};
+use occ_atpg::{run_atpg_cancellable, AtpgOptions, AtpgResult, CompiledPodem};
 use occ_core::{stuck_at_procedures, ClockingMode};
 use occ_dft::{insert_scan, ScanConfig};
 use occ_fault::{FaultStatus, FaultUniverse};
 use occ_fsim::{
-    simulate_good, CaptureModel, ClockBinding, CycleSpec, FaultSim, FrameSpec, Pattern,
+    simulate_good, CancelToken, CaptureModel, ClockBinding, CycleSpec, FaultSim, FrameSpec, Pattern,
 };
 use occ_lint::{check_netlist, LintGate, Linter, RuleId, Severity};
 use occ_netlist::{Logic, Netlist, NetlistBuilder};
@@ -368,14 +368,17 @@ fn l007_untestable_never_contradicted_by_brute_force_or_podem() {
     // proven fault in a detected state.
     let mut engine = FaultSim::new(&model);
     let mut podem = CompiledPodem::new(&model);
-    let result = run_atpg(
+    let result = run_atpg_cancellable(
         &model,
         std::slice::from_ref(&spec),
         universe,
         &AtpgOptions::default(),
         &mut engine,
         &mut podem,
-    );
+        &[],
+        &CancelToken::never(),
+    )
+    .expect("a never-token cannot trip");
     for &fault in &report.untestable {
         assert!(
             !result.faults.status(fault).is_detected(),
@@ -448,15 +451,18 @@ fn lint_pruned_atpg_is_byte_identical_and_skips_searches() {
 
     let mut engine = FaultSim::new(&model);
     let mut podem = CompiledPodem::new(&model);
-    let plain = run_atpg(
+    let plain = run_atpg_cancellable(
         &model,
         &procedures,
         universe.clone(),
         &options,
         &mut engine,
         &mut podem,
-    );
-    let pruned = run_atpg_preclassified(
+        &[],
+        &CancelToken::never(),
+    )
+    .expect("a never-token cannot trip");
+    let pruned = run_atpg_cancellable(
         &model,
         &procedures,
         universe,
@@ -464,7 +470,9 @@ fn lint_pruned_atpg_is_byte_identical_and_skips_searches() {
         &mut engine,
         &mut podem,
         &report.untestable,
-    );
+        &CancelToken::never(),
+    )
+    .expect("a never-token cannot trip");
 
     assert!(
         pruned.stats.lint_pruned > 0,

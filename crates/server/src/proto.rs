@@ -14,14 +14,15 @@
 //! {"op":"analyze","design":{"preset":"tiny","seed":3}}
 //! {"op":"flow","design":{"preset":"paper_like","seed":7,"flops_per_domain":60},
 //!  "clocking":"enhanced-cpf:4","fault_model":"transition",
-//!  "engine":"serial","atpg_engine":"compiled",
-//!  "backtrack_limit":48,"random_patterns":256,"compaction":true,
+//!  "engine":"serial","backtrack_limit":48,"random_patterns":256,"compaction":true,
 //!  "mask_bidi":true,"timing":true,"lint":"deny","format":"json",
 //!  "pattern_source":"edt","deadline_ms":60000,"trace":true}
 //! ```
 //!
 //! Every `flow`/`analyze` field except `design` is optional and
-//! defaults to the [`TestFlow`](occ_flow::TestFlow) defaults.
+//! defaults to the [`TestFlow`](occ_flow::TestFlow) defaults. Keys the
+//! protocol does not know are ignored, so a request carrying a retired
+//! field still parses.
 //! `design.preset` is `tiny` or `paper_like`; `seed` and
 //! `flops_per_domain` size it. `format` is `json` (the full
 //! [`FlowReport`] embedded as an object) or
@@ -184,13 +185,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 spec.engine = s.parse().map_err(|e: occ_flow::ParseEngineChoiceError| {
                     ProtoError::bad(e.to_string())
                 })?;
-            }
-            if let Some(s) = opt_str(&v, "atpg_engine")? {
-                spec.atpg_engine =
-                    s.parse()
-                        .map_err(|e: occ_flow::ParseAtpgEngineChoiceError| {
-                            ProtoError::bad(e.to_string())
-                        })?;
             }
             if let Some(n) = opt_usize(&v, "backtrack_limit")? {
                 spec.atpg.backtrack_limit = n;
@@ -543,6 +537,8 @@ mod tests {
         assert_eq!(spec.design.seed, 9);
         assert_eq!(format, ReportFormat::Json);
 
+        // The line carries the retired ATPG-engine key: it is ignored
+        // like any unknown key, so old clients keep working.
         let r = parse_request(
             r#"{"op":"flow","design":{"preset":"paper_like","seed":7,"flops_per_domain":40},
                "clocking":"enhanced-cpf:3","fault_model":"stuck-at","engine":"sharded:2",

@@ -21,8 +21,8 @@ use occ_atpg::AtpgOptions;
 use occ_core::ClockingMode;
 use occ_fault::FaultModel;
 use occ_flow::{
-    build_procedures, AtpgEngineChoice, CancelToken, EngineChoice, FlowArtifacts, FlowError,
-    FlowReport, LintGate, PatternSource, TestFlow,
+    build_procedures, CancelToken, EngineChoice, FlowArtifacts, FlowError, FlowReport, LintGate,
+    PatternSource, TestFlow,
 };
 use occ_fsim::FrameSpec;
 use occ_sim::{CompiledDelays, DelayModel};
@@ -42,8 +42,6 @@ pub struct JobSpec {
     pub fault_model: FaultModel,
     /// Fault-simulation engine.
     pub engine: EngineChoice,
-    /// Test-generation engine.
-    pub atpg_engine: AtpgEngineChoice,
     /// ATPG options (backtrack limit, random bootstrap, compaction).
     pub atpg: AtpgOptions,
     /// Mask the bidi-pad feedback paths (the ATE constraint).
@@ -73,8 +71,8 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A flow job on `design` with the [`TestFlow`] defaults: external
-    /// clock (4 pulses), transition faults, serial fault sim, compiled
-    /// ATPG, no timing, no lint.
+    /// clock (4 pulses), transition faults, serial fault sim, no timing,
+    /// no lint.
     #[must_use]
     pub fn new(design: SocConfig) -> Self {
         JobSpec {
@@ -82,7 +80,6 @@ impl JobSpec {
             clocking: ClockingMode::ExternalClock { max_pulses: 4 },
             fault_model: FaultModel::Transition,
             engine: EngineChoice::Serial,
-            atpg_engine: AtpgEngineChoice::Compiled,
             atpg: AtpgOptions::default(),
             mask_bidi: false,
             timing: false,
@@ -295,7 +292,6 @@ impl FlowService {
             .clocking(job.clocking)
             .fault_model(job.fault_model)
             .engine(job.engine)
-            .atpg_engine(job.atpg_engine)
             .atpg(job.atpg.clone())
             .mask_bidi(job.mask_bidi)
             .pattern_source(job.pattern_source.clone())

@@ -328,6 +328,32 @@ fn oversized_design_is_a_typed_bad_request() {
     line.clear();
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"op\":\"ping\""), "{line}");
+
+    // An EDT decompressor with more channels than the design has
+    // chains: the daemon used to abort sizing it (32 GB).
+    stream
+        .write_all(
+            b"{\"op\":\"flow\",\"design\":{\"preset\":\"tiny\",\"seed\":3},\"pattern_source\":\"edt:4000000000\"}\n",
+        )
+        .unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let v = Json::parse(&line).unwrap();
+    let error = v.get("error").expect("an error reply");
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("flow-error"),
+        "{line}"
+    );
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(
+        message.contains("asks for 4000000000 scan channel(s)"),
+        "{message}"
+    );
+    stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"op\":\"ping\""), "{line}");
     server.shutdown();
 }
 

@@ -54,7 +54,6 @@ fn flow_report_wire_format_is_stable() {
             "clocking",
             "fault_model",
             "engine",
-            "atpg_engine",
             "threads",
             "procedures",
             "patterns",

@@ -14,25 +14,22 @@
 //! skipped.
 //!
 //! Run with:
-//! `cargo run --release --example delay_test_flow [-- --threads N] [--atpg-engine E] [--lint]`
+//! `cargo run --release --example delay_test_flow [-- --threads N] [--lint]`
 //!
 //! `--threads N` routes the run through the sharded fault-sim engine
 //! with `N` workers; the default uses all available parallelism.
-//! `--atpg-engine reference|compiled` selects the PODEM engine
-//! (identical results; `compiled` — the default — is faster).
 //! `--lint` gates each flow behind the static design-rule /
 //! testability analysis (deny gate) and skips PODEM searches for
 //! faults the linter proves structurally untestable — coverage and
 //! pattern sets are unchanged.
 
 use occ::core::ClockingMode;
-use occ::flow::{AtpgEngineChoice, EngineChoice, FaultKind, LintGate};
+use occ::flow::{EngineChoice, FaultKind, LintGate};
 use occ::server::{FlowService, JobSpec};
 use occ::soc::SocConfig;
 
 fn main() {
     let mut engine = EngineChoice::Auto;
-    let mut atpg_engine = AtpgEngineChoice::Compiled;
     let mut lint = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -44,16 +41,8 @@ fn main() {
                     .expect("--threads needs a number");
                 engine = EngineChoice::Sharded { threads };
             }
-            "--atpg-engine" => {
-                atpg_engine = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--atpg-engine needs reference|compiled");
-            }
             "--lint" => lint = true,
-            other => panic!(
-                "unknown argument '{other}' (expected --threads N, --atpg-engine E or --lint)"
-            ),
+            other => panic!("unknown argument '{other}' (expected --threads N or --lint)"),
         }
     }
 
@@ -65,7 +54,6 @@ fn main() {
         job.fault_model = FaultKind::Transition;
         job.mask_bidi = mask_bidi;
         job.engine = engine;
-        job.atpg_engine = atpg_engine;
         job.timing = true;
         job.lint = lint.then_some(LintGate::Deny);
         job
@@ -109,8 +97,8 @@ fn main() {
         }
         let report = outcome.report.expect("flow jobs carry a report");
         println!(
-            "\n{label}: {} capture procedures ({} engine x{}, {} atpg)",
-            report.procedures, report.engine, report.threads, report.atpg_engine
+            "\n{label}: {} capture procedures ({} engine x{})",
+            report.procedures, report.engine, report.threads
         );
         println!(
             "   coverage {:.2}%  patterns {}  efficiency {:.2}%  ({:.1}s)",

@@ -11,14 +11,14 @@
 //! heuristic difference.
 
 use occ::atpg::{
-    run_atpg, AtpgEngine, AtpgOptions, CompiledPodem, DualGraphSim, DualSim, Observability,
-    PodemOutcome, ReferencePodem,
+    classify_faults, run_atpg_cancellable, AtpgEngine, AtpgOptions, AtpgResult, CompiledPodem,
+    DualGraphSim, DualSim, Observability, PodemOutcome, ReferencePodem,
 };
 use occ::core::ClockingMode;
 use occ::fault::{FaultModel, FaultUniverse};
-use occ::flow::{AtpgEngineChoice, EngineChoice, FaultKind, TestFlow};
+use occ::flow::{build_procedures, EngineChoice, FaultKind, TestFlow};
 use occ::fsim::{
-    simulate_good, CaptureModel, ClockBinding, CycleSpec, FaultSim, FrameSpec, Pattern,
+    simulate_good, CancelToken, CaptureModel, ClockBinding, CycleSpec, FaultSim, FrameSpec, Pattern,
 };
 use occ::netlist::{Logic, Netlist, NetlistBuilder};
 use occ::soc::{generate, SocConfig};
@@ -90,8 +90,8 @@ fn per_fault_outcomes_identical() {
     }
 }
 
-/// End-to-end identity through `run_atpg`: same coverage, same fault
-/// statuses, same pattern sets, same run counters.
+/// End-to-end identity through `run_atpg_cancellable`: same coverage,
+/// same fault statuses, same pattern sets, same run counters.
 #[test]
 fn full_atpg_runs_identical() {
     let soc = generate(&SocConfig::tiny(9));
@@ -110,25 +110,31 @@ fn full_atpg_runs_identical() {
 
         let mut fsim_a = FaultSim::new(&model);
         let mut ref_podem = ReferencePodem::new(&model);
-        let a = run_atpg(
+        let a = run_atpg_cancellable(
             &model,
             &procedures,
             universe.clone(),
             &options,
             &mut fsim_a,
             &mut ref_podem,
-        );
+            &[],
+            &CancelToken::never(),
+        )
+        .expect("a never-token cannot trip");
 
         let mut fsim_b = FaultSim::new(&model);
         let mut comp_podem = CompiledPodem::new(&model);
-        let b = run_atpg(
+        let b = run_atpg_cancellable(
             &model,
             &procedures,
             universe,
             &options,
             &mut fsim_b,
             &mut comp_podem,
-        );
+            &[],
+            &CancelToken::never(),
+        )
+        .expect("a never-token cannot trip");
 
         assert_eq!(a.report(), b.report(), "{mode:?}");
         assert_eq!(a.stats, b.stats, "{mode:?}");
@@ -270,12 +276,14 @@ fn reset_driven_by_logic_podem_outcomes_identical() {
     assert!(found > 0, "degenerate rig: PODEM found no tests");
 }
 
-/// The `TestFlow` surface: the `atpg_engine` selector changes only the
-/// label and the kernel stats, never the report numbers — across all
-/// four clocking modes and both fault models.
+/// The flow's ATPG stage under either engine: on the procedures and
+/// fault universe a `TestFlow` builds, `ReferencePodem` and
+/// `CompiledPodem` give the same coverage, stats, patterns and
+/// decisions — across all four clocking modes and both fault models.
 #[test]
 fn flows_identical_across_atpg_engines() {
     let soc = generate(&SocConfig::tiny(3));
+    let model = CaptureModel::new(soc.netlist(), soc.binding(true)).expect("generated SOC binds");
     let quick = AtpgOptions {
         random_patterns: 32,
         backtrack_limit: 16,
@@ -283,48 +291,58 @@ fn flows_identical_across_atpg_engines() {
     };
     for mode in MODES {
         for fault_model in [FaultKind::StuckAt, FaultKind::Transition] {
-            let run = |engine: AtpgEngineChoice| {
-                TestFlow::new(&soc)
-                    .clocking(mode)
-                    .fault_model(fault_model)
-                    .mask_bidi(true)
-                    .engine(EngineChoice::Serial)
-                    .atpg_engine(engine)
-                    .atpg(quick.clone())
-                    .run()
-                    .expect("flow runs")
+            let procedures = build_procedures(mode, fault_model, model.domain_count())
+                .expect("every mode drives both fault models");
+            let universe = match fault_model {
+                FaultModel::StuckAt => FaultUniverse::stuck_at(soc.netlist()),
+                FaultModel::Transition => FaultUniverse::transition(soc.netlist()),
             };
-            let reference = run(AtpgEngineChoice::Reference);
-            let compiled = run(AtpgEngineChoice::Compiled);
+            let run = |podem: &mut dyn AtpgEngine| -> AtpgResult {
+                let mut result = run_atpg_cancellable(
+                    &model,
+                    &procedures,
+                    universe.clone(),
+                    &quick,
+                    &mut FaultSim::new(&model),
+                    podem,
+                    &[],
+                    &CancelToken::never(),
+                )
+                .expect("a never-token cannot trip");
+                classify_faults(&model, &mut result.faults);
+                result
+            };
+            let mut reference_podem = ReferencePodem::new(&model);
+            let mut compiled_podem = CompiledPodem::new(&model);
+            let reference = run(&mut reference_podem);
+            let compiled = run(&mut compiled_podem);
             assert_eq!(
-                reference.coverage, compiled.coverage,
+                reference.report(),
+                compiled.report(),
                 "{mode:?} {fault_model:?}"
             );
+            assert_eq!(reference.stats, compiled.stats, "{mode:?} {fault_model:?}");
             assert_eq!(
-                reference.result.stats, compiled.result.stats,
+                reference.patterns.len(),
+                compiled.patterns.len(),
                 "{mode:?} {fault_model:?}"
             );
+            let reference_kernel = AtpgEngine::kernel_stats(&reference_podem);
+            let compiled_kernel = AtpgEngine::kernel_stats(&compiled_podem);
             assert_eq!(
-                reference.patterns(),
-                compiled.patterns(),
-                "{mode:?} {fault_model:?}"
-            );
-            assert_eq!(reference.atpg_engine, "reference");
-            assert_eq!(compiled.atpg_engine, "compiled");
-            assert_eq!(
-                reference.atpg_kernel.decisions, compiled.atpg_kernel.decisions,
+                reference_kernel.decisions, compiled_kernel.decisions,
                 "{mode:?} {fault_model:?}"
             );
             // The compiled engine actually ran incrementally: one full
             // sim per PODEM run, the rest changed-cone updates.
-            if compiled.atpg_kernel.decisions > 0 {
+            if compiled_kernel.decisions > 0 {
                 assert!(
-                    compiled.atpg_kernel.incremental_resims > 0,
+                    compiled_kernel.incremental_resims > 0,
                     "compiled engine never re-simulated incrementally ({mode:?})"
                 );
-                assert!(compiled.atpg_kernel.events > 0);
+                assert!(compiled_kernel.events > 0);
             }
-            assert_eq!(reference.atpg_kernel.seeded_sims, 0);
+            assert_eq!(reference_kernel.seeded_sims, 0);
         }
     }
 }
@@ -345,7 +363,6 @@ fn compiled_engine_seeds_repeated_spec_baselines() {
         .fault_model(FaultKind::Transition)
         .mask_bidi(true)
         .engine(EngineChoice::Serial)
-        .atpg_engine(AtpgEngineChoice::Compiled)
         .atpg(AtpgOptions {
             random_patterns: 32,
             backtrack_limit: 16,
