@@ -52,11 +52,10 @@ use occ_bench::gate::{self, Gate};
 use occ_bench::{run_experiment, ExperimentId, Table1Options};
 use occ_core::ClockingMode;
 use occ_fault::FaultUniverse;
-use occ_flow::{EngineChoice, FlowReport, Stage};
+use occ_flow::{EngineChoice, FlowReport, Json, Stage};
 use occ_fsim::{CancelToken, CaptureModel, FaultSim, FrameSpec};
 use occ_lint::Linter;
 use occ_soc::{generate, SocConfig};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -256,19 +255,59 @@ fn main() -> ExitCode {
         search.patterns,
     );
 
-    let peak_rss = alloc_track::peak_rss_kb();
-    let json = to_json(
-        &soc,
-        faults.len(),
-        tests_found,
-        &rows,
-        &lint,
-        &search,
-        speedup,
-        allocs_per_decision,
-        peak_rss,
-    );
-    gate.finish(&json, &[])
+    let engines = rows.iter().map(|r| {
+        Json::obj([
+            ("engine", r.engine.as_str().into()),
+            ("seconds", r.seconds.into()),
+            ("decisions", r.decisions.into()),
+            ("decisions_per_sec", r.decisions_per_sec.into()),
+            ("faults_per_sec", r.faults_per_sec.into()),
+            ("allocs", r.allocs.into()),
+            ("alloc_bytes", r.alloc_bytes.into()),
+            ("events", r.events.into()),
+            ("incremental_resims", r.incremental_resims.into()),
+        ])
+    });
+    let report = Json::obj([
+        ("design", soc.netlist().name().into()),
+        ("cells", soc.netlist().len().into()),
+        ("faults", faults.len().into()),
+        ("tests_found", tests_found.into()),
+        ("flops_per_domain", FLOPS.into()),
+        ("backtrack_limit", LIMIT.into()),
+        ("peak_rss_kb", alloc_track::peak_rss_kb().into()),
+        ("engines", engines.collect()),
+        (
+            "lint",
+            Json::obj([
+                ("untestable", lint.untestable.into()),
+                ("podem_skipped", lint.podem_skipped.into()),
+                ("plain_seconds", lint.plain_seconds.into()),
+                ("pruned_seconds", lint.pruned_seconds.into()),
+                ("patterns", lint.patterns.into()),
+                ("coverage_pct", lint.coverage_pct.into()),
+                ("patterns_identical", true.into()),
+            ]),
+        ),
+        (
+            "search",
+            Json::obj([
+                ("row", "d".into()),
+                ("threads", search.threads.into()),
+                ("serial_seconds", search.serial_seconds.into()),
+                ("parallel_seconds", search.parallel_seconds.into()),
+                ("podem_calls", search.podem_calls.into()),
+                ("decisions", search.decisions.into()),
+                ("backtracks", search.backtracks.into()),
+                ("discarded", search.discarded.into()),
+                ("patterns", search.patterns.into()),
+                ("identical", true.into()),
+            ]),
+        ),
+        ("allocs_per_decision", allocs_per_decision.into()),
+        ("speedup_compiled_vs_reference", speedup.into()),
+    ]);
+    gate.finish(&report, &[])
 }
 
 /// Runs one engine over the fault sample [`REPS`] times, keeping the
@@ -468,92 +507,4 @@ fn check_identical(
         }
     }
     Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn to_json(
-    soc: &occ_soc::Soc,
-    faults: usize,
-    tests_found: usize,
-    rows: &[EngineRow],
-    lint: &LintRow,
-    search: &SearchRow,
-    speedup: f64,
-    allocs_per_decision: f64,
-    peak_rss_kb: Option<u64>,
-) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"design\":\"{}\",\"cells\":{},\"faults\":{},\"tests_found\":{},\
-         \"flops_per_domain\":{},\"backtrack_limit\":{},",
-        soc.netlist().name(),
-        soc.netlist().len(),
-        faults,
-        tests_found,
-        FLOPS,
-        LIMIT,
-    );
-    match peak_rss_kb {
-        Some(kb) => {
-            let _ = write!(out, "\"peak_rss_kb\":{kb},");
-        }
-        None => {
-            let _ = write!(out, "\"peak_rss_kb\":null,");
-        }
-    }
-    let _ = write!(out, "\"engines\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"engine\":\"{}\",\"seconds\":{:.6},\"decisions\":{},\
-             \"decisions_per_sec\":{:.1},\"faults_per_sec\":{:.1},\"allocs\":{},\
-             \"alloc_bytes\":{},\"events\":{},\"incremental_resims\":{}}}",
-            r.engine,
-            r.seconds,
-            r.decisions,
-            r.decisions_per_sec,
-            r.faults_per_sec,
-            r.allocs,
-            r.alloc_bytes,
-            r.events,
-            r.incremental_resims,
-        );
-    }
-    let _ = write!(
-        out,
-        "],\"lint\":{{\"untestable\":{},\"podem_skipped\":{},\
-         \"plain_seconds\":{:.6},\"pruned_seconds\":{:.6},\
-         \"patterns\":{},\"coverage_pct\":{:.3},\
-         \"patterns_identical\":true}},",
-        lint.untestable,
-        lint.podem_skipped,
-        lint.plain_seconds,
-        lint.pruned_seconds,
-        lint.patterns,
-        lint.coverage_pct,
-    );
-    let _ = write!(
-        out,
-        "\"search\":{{\"row\":\"d\",\"threads\":{},\"serial_seconds\":{:.6},\
-         \"parallel_seconds\":{:.6},\"podem_calls\":{},\"decisions\":{},\
-         \"backtracks\":{},\"discarded\":{},\"patterns\":{},\"identical\":true}},",
-        search.threads,
-        search.serial_seconds,
-        search.parallel_seconds,
-        search.podem_calls,
-        search.decisions,
-        search.backtracks,
-        search.discarded,
-        search.patterns,
-    );
-    let _ = writeln!(
-        out,
-        "\"allocs_per_decision\":{allocs_per_decision:.4},\
-         \"speedup_compiled_vs_reference\":{speedup:.3}}}"
-    );
-    out
 }

@@ -35,10 +35,9 @@
 use occ_atpg::AtpgOptions;
 use occ_bench::gate::{self, Gate};
 use occ_core::ClockingMode;
-use occ_flow::{BistConfig, EdtConfig, FlowReport, PatternSource};
+use occ_flow::{BistConfig, EdtConfig, FlowReport, Json, PatternSource};
 use occ_server::{FlowService, JobSpec};
 use occ_soc::SocConfig;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -158,29 +157,38 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"design\":\"{}\",\"flops_per_domain\":{},\
-         \"external\":{{\"patterns\":{},\"patterns_per_sec\":{ext_pps:.1},\
-         \"coverage_pct\":{:.2}}},\
-         \"edt\":{{\"patterns\":{},\"patterns_per_sec\":{edt_pps:.1},\
-         \"coverage_pct\":{:.2},\"compression_ratio\":{compression:.2}}},",
-        external.design,
-        FLOPS,
-        external.patterns(),
-        external.coverage_pct(),
-        edt.patterns(),
-        edt.coverage_pct(),
-    );
-    let _ = writeln!(
-        json,
-        "\"lbist\":{{\"patterns_per_sec\":{lb10_pps:.1},\
-         \"coverage_pct_1k\":{cov_1k:.2},\"coverage_pct_10k\":{cov_10k:.2}}}}}",
-    );
+    let report = Json::obj([
+        ("design", external.design.as_str().into()),
+        ("flops_per_domain", FLOPS.into()),
+        (
+            "external",
+            Json::obj([
+                ("patterns", external.patterns().into()),
+                ("patterns_per_sec", ext_pps.into()),
+                ("coverage_pct", external.coverage_pct().into()),
+            ]),
+        ),
+        (
+            "edt",
+            Json::obj([
+                ("patterns", edt.patterns().into()),
+                ("patterns_per_sec", edt_pps.into()),
+                ("coverage_pct", edt.coverage_pct().into()),
+                ("compression_ratio", compression.into()),
+            ]),
+        ),
+        (
+            "lbist",
+            Json::obj([
+                ("patterns_per_sec", lb10_pps.into()),
+                ("coverage_pct_1k", cov_1k.into()),
+                ("coverage_pct_10k", cov_10k.into()),
+            ]),
+        ),
+    ]);
     // A bigger pseudo-random budget must never lose detections.
     gate.finish(
-        &json,
+        &report,
         &[
             ("EDT compression ratio", compression, COMPRESSION_FLOOR),
             ("LBIST 10k-pattern coverage vs 1k", cov_10k, cov_1k),

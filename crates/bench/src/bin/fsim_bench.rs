@@ -33,6 +33,7 @@ static ALLOC: alloc_track::CountingAlloc = alloc_track::CountingAlloc;
 
 use occ_bench::gate::{self, Gate};
 use occ_fault::FaultUniverse;
+use occ_flow::Json;
 use occ_fsim::{
     simulate_good, CaptureModel, FaultSim, FrameSpec, ParallelFaultSim, Pattern, ReferenceFaultSim,
 };
@@ -40,7 +41,6 @@ use occ_netlist::Logic;
 use occ_soc::{generate, SocConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -224,8 +224,34 @@ fn main() -> ExitCode {
     }
     println!("  kernel vs reference speedup: {speedup:.2}x");
 
-    let peak_rss = alloc_track::peak_rss_kb();
-    gate.finish(&to_json(&soc, nf, good_secs, &rows, speedup, peak_rss), &[])
+    let engines = rows.iter().map(|r| {
+        Json::obj([
+            ("engine", r.engine.as_str().into()),
+            ("seconds", r.seconds.into()),
+            ("faults_per_sec", r.faults_per_sec.into()),
+            ("pattern_faults_per_sec", r.pattern_faults_per_sec.into()),
+            ("allocs", r.allocs.into()),
+            ("alloc_bytes", r.alloc_bytes.into()),
+            ("cone_pruned", r.cone_pruned.into()),
+            ("events", r.events.into()),
+        ])
+    });
+    let report = Json::obj([
+        ("design", soc.netlist().name().into()),
+        ("cells", soc.netlist().len().into()),
+        ("faults", nf.into()),
+        ("patterns", PATTERNS.into()),
+        ("flops_per_domain", FLOPS.into()),
+        ("goodsim_seconds", good_secs.into()),
+        (
+            "goodsim_patterns_per_sec",
+            (PATTERNS as f64 / good_secs.max(1e-9)).into(),
+        ),
+        ("peak_rss_kb", alloc_track::peak_rss_kb().into()),
+        ("engines", engines.collect()),
+        ("speedup_kernel_vs_reference", speedup.into()),
+    ]);
+    gate.finish(&report, &[])
 }
 
 /// Runs `f` [`REPS`] times, returning the best wall-clock time, the
@@ -269,58 +295,4 @@ fn row(
         cone_pruned,
         events,
     }
-}
-
-fn to_json(
-    soc: &occ_soc::Soc,
-    faults: usize,
-    good_secs: f64,
-    rows: &[EngineRow],
-    speedup: f64,
-    peak_rss_kb: Option<u64>,
-) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"design\":\"{}\",\"cells\":{},\"faults\":{},\"patterns\":{},\
-         \"flops_per_domain\":{},\"goodsim_seconds\":{:.6},\
-         \"goodsim_patterns_per_sec\":{:.1},",
-        soc.netlist().name(),
-        soc.netlist().len(),
-        faults,
-        PATTERNS,
-        FLOPS,
-        good_secs,
-        PATTERNS as f64 / good_secs.max(1e-9),
-    );
-    match peak_rss_kb {
-        Some(kb) => {
-            let _ = write!(out, "\"peak_rss_kb\":{kb},");
-        }
-        None => {
-            let _ = write!(out, "\"peak_rss_kb\":null,");
-        }
-    }
-    let _ = write!(out, "\"engines\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"engine\":\"{}\",\"seconds\":{:.6},\"faults_per_sec\":{:.1},\
-             \"pattern_faults_per_sec\":{:.1},\"allocs\":{},\"alloc_bytes\":{},\
-             \"cone_pruned\":{},\"events\":{}}}",
-            r.engine,
-            r.seconds,
-            r.faults_per_sec,
-            r.pattern_faults_per_sec,
-            r.allocs,
-            r.alloc_bytes,
-            r.cone_pruned,
-            r.events,
-        );
-    }
-    let _ = writeln!(out, "],\"speedup_kernel_vs_reference\":{speedup:.3}}}");
-    out
 }

@@ -58,10 +58,9 @@ use occ_atpg::AtpgOptions;
 use occ_bench::gate::{self, Gate};
 use occ_core::ClockingMode;
 use occ_server::{
-    request, serve, FaultAction, FaultPlan, FlowService, JobSpec, ServerConfig, Trigger,
+    request, serve, FaultAction, FaultPlan, FlowService, JobSpec, Json, ServerConfig, Trigger,
 };
 use occ_soc::SocConfig;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -335,10 +334,18 @@ fn main() -> ExitCode {
         }
     };
     let addr = server.addr();
-    let analyze_line = format!(
-        "{{\"op\":\"analyze\",\"design\":{{\"preset\":\"paper_like\",\
-         \"seed\":{TABLE1_SEED},\"flops_per_domain\":{FLOPS}}}}}"
-    );
+    let analyze_line = Json::obj([
+        ("op", "analyze".into()),
+        (
+            "design",
+            Json::obj([
+                ("preset", "paper_like".into()),
+                ("seed", TABLE1_SEED.into()),
+                ("flops_per_domain", FLOPS.into()),
+            ]),
+        ),
+    ])
+    .to_string();
     // Warm-up (retried: the warm-up itself can draw an injected panic).
     let mut warmed = false;
     for _ in 0..50 {
@@ -422,40 +429,55 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"design\":\"{}\",\"cells\":{},\"flops_per_domain\":{},\
-         \"clients\":{},\"designs\":{},\
-         \"analyze\":{{\"cold_jobs\":{cold_jobs},\"cold_jobs_per_sec\":{cold_jps:.1},\
-         \"warm_jobs\":{warm_jobs},\"warm_jobs_per_sec\":{warm_jps:.1}}},\
-         \"flow\":{{\"flops_per_domain\":{},\"cold_seconds\":{flow_cold_secs:.3},\
-         \"warm_seconds\":{flow_warm_secs:.3},\"warm_all_hits\":{}}},",
-        probe.analysis.design,
-        probe.analysis.cells,
-        FLOPS,
-        CLIENTS,
-        DESIGNS,
-        FLOW_FLOPS,
-        warm_flow.warm,
-    );
-    let _ = write!(
-        json,
-        "\"obs_overhead\":{{\"quads\":{OBS_QUADS},\
-         \"untraced_jobs_per_sec\":{untraced_jps:.2},\
-         \"traced_jobs_per_sec\":{traced_jps:.2},\
-         \"overhead_pct\":{overhead_pct:.1},\
-         \"gate_overhead_pct\":{gate_pct:.1}}},",
-    );
-    let _ = write!(
-        json,
-        "\"degraded\":{{\"jobs\":{DEGRADED_JOBS},\"injected_panic_p\":{DEGRADED_PANIC_P},\
-         \"jobs_per_sec\":{degraded_jps:.1},\"availability\":{availability:.3},\
-         \"ok_fraction\":{ok_fraction:.3},\"injected_panics\":{injected}}},",
-    );
-    let _ = writeln!(json, "\"warm_over_cold\":{ratio:.1}}}");
+    let report = Json::obj([
+        ("design", probe.analysis.design.as_str().into()),
+        ("cells", probe.analysis.cells.into()),
+        ("flops_per_domain", FLOPS.into()),
+        ("clients", CLIENTS.into()),
+        ("designs", DESIGNS.into()),
+        (
+            "analyze",
+            Json::obj([
+                ("cold_jobs", cold_jobs.into()),
+                ("cold_jobs_per_sec", cold_jps.into()),
+                ("warm_jobs", warm_jobs.into()),
+                ("warm_jobs_per_sec", warm_jps.into()),
+            ]),
+        ),
+        (
+            "flow",
+            Json::obj([
+                ("flops_per_domain", FLOW_FLOPS.into()),
+                ("cold_seconds", flow_cold_secs.into()),
+                ("warm_seconds", flow_warm_secs.into()),
+                ("warm_all_hits", warm_flow.warm.into()),
+            ]),
+        ),
+        (
+            "obs_overhead",
+            Json::obj([
+                ("quads", OBS_QUADS.into()),
+                ("untraced_jobs_per_sec", untraced_jps.into()),
+                ("traced_jobs_per_sec", traced_jps.into()),
+                ("overhead_pct", overhead_pct.into()),
+                ("gate_overhead_pct", gate_pct.into()),
+            ]),
+        ),
+        (
+            "degraded",
+            Json::obj([
+                ("jobs", DEGRADED_JOBS.into()),
+                ("injected_panic_p", DEGRADED_PANIC_P.into()),
+                ("jobs_per_sec", degraded_jps.into()),
+                ("availability", availability.into()),
+                ("ok_fraction", ok_fraction.into()),
+                ("injected_panics", injected.into()),
+            ]),
+        ),
+        ("warm_over_cold", ratio.into()),
+    ]);
     gate.finish(
-        &json,
+        &report,
         &[("warm/cold jobs-per-second ratio", ratio, WARM_FLOOR)],
     )
 }

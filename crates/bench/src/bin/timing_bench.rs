@@ -40,7 +40,9 @@ static ALLOC: alloc_track::CountingAlloc = alloc_track::CountingAlloc;
 use occ_bench::gate::{self, Gate};
 use occ_core::ClockingMode;
 use occ_fault::FaultUniverse;
-use occ_flow::{BistConfig, EngineChoice, FaultKind, FlowReport, PatternSource, Stage, TestFlow};
+use occ_flow::{
+    BistConfig, EngineChoice, FaultKind, FlowReport, Json, PatternSource, Stage, TestFlow,
+};
 use occ_fsim::{simulate_good, CaptureModel, FaultSim, FrameSpec, Pattern, SimTiming};
 use occ_netlist::{CellKind, Logic};
 use occ_sim::DelayModel;
@@ -48,7 +50,6 @@ use occ_soc::{generate, SocConfig};
 use occ_timing::{reference_arrivals, CaptureTargets, Sta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -251,68 +252,52 @@ fn main() -> ExitCode {
         auto.threads,
         serial_q.sdql,
     );
-    let regrade_json = format!(
-        "{{\"clocking\":\"{}\",\"lbist_patterns\":{REGRADE_PATTERNS},\"sdql\":{},\
-         \"serial\":{{\"threads\":{},\"timing_s\":{:.4}}},\
-         \"auto\":{{\"threads\":{},\"timing_s\":{:.4}}},\
-         \"speedup_auto_vs_serial\":{regrade_speedup:.3}}}",
-        REGRADE_MODE.label(),
-        serial_q.sdql,
-        serial.threads,
-        timing_s(&serial),
-        auto.threads,
-        timing_s(&auto),
-    );
-
-    let json = to_json(
-        &soc,
-        n,
-        ref_passes,
-        sta_passes,
-        speedup,
-        faults.len(),
-        detected,
-        timed_fps,
-        allocs_per_fault,
-        &regrade_json,
-    );
-    gate.finish(&json, &[])
-}
-
-#[allow(clippy::too_many_arguments)]
-fn to_json(
-    soc: &occ_soc::Soc,
-    cells: usize,
-    ref_passes: f64,
-    sta_passes: f64,
-    speedup: f64,
-    faults: usize,
-    detected: usize,
-    timed_fps: f64,
-    allocs_per_fault: f64,
-    regrade: &str,
-) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"design\":\"{}\",\"cells\":{cells},\"flops_per_domain\":{},\
-         \"passes\":{},\"sta\":{{\"reference_passes_per_sec\":{ref_passes:.1},\
-         \"compiled_passes_per_sec\":{sta_passes:.1}}},\
-         \"timed_detect\":{{\"faults\":{faults},\"detected\":{detected},\
-         \"faults_per_sec\":{timed_fps:.1},\"allocs_per_fault\":{allocs_per_fault:.4}}},\
-         \"regrade\":{regrade},",
-        soc.netlist().name(),
-        FLOPS,
-        PASSES,
-    );
-    match alloc_track::peak_rss_kb() {
-        Some(kb) => {
-            let _ = write!(out, "\"peak_rss_kb\":{kb},");
-        }
-        None => {
-            let _ = write!(out, "\"peak_rss_kb\":null,");
-        }
-    }
-    let _ = writeln!(out, "\"speedup_compiled_vs_reference\":{speedup:.3}}}");
-    out
+    let report = Json::obj([
+        ("design", soc.netlist().name().into()),
+        ("cells", n.into()),
+        ("flops_per_domain", FLOPS.into()),
+        ("passes", PASSES.into()),
+        (
+            "sta",
+            Json::obj([
+                ("reference_passes_per_sec", ref_passes.into()),
+                ("compiled_passes_per_sec", sta_passes.into()),
+            ]),
+        ),
+        (
+            "timed_detect",
+            Json::obj([
+                ("faults", faults.len().into()),
+                ("detected", detected.into()),
+                ("faults_per_sec", timed_fps.into()),
+                ("allocs_per_fault", allocs_per_fault.into()),
+            ]),
+        ),
+        (
+            "regrade",
+            Json::obj([
+                ("clocking", REGRADE_MODE.label().into()),
+                ("lbist_patterns", REGRADE_PATTERNS.into()),
+                ("sdql", serial_q.sdql.into()),
+                (
+                    "serial",
+                    Json::obj([
+                        ("threads", serial.threads.into()),
+                        ("timing_s", timing_s(&serial).into()),
+                    ]),
+                ),
+                (
+                    "auto",
+                    Json::obj([
+                        ("threads", auto.threads.into()),
+                        ("timing_s", timing_s(&auto).into()),
+                    ]),
+                ),
+                ("speedup_auto_vs_serial", regrade_speedup.into()),
+            ]),
+        ),
+        ("peak_rss_kb", alloc_track::peak_rss_kb().into()),
+        ("speedup_compiled_vs_reference", speedup.into()),
+    ]);
+    gate.finish(&report, &[])
 }

@@ -1,12 +1,13 @@
 //! The regression gate of the five gated bench binaries.
 //!
-//! Each binary measures, runs its always-on correctness gates, renders
-//! its report as JSON and hands it to [`Gate::finish`]. That writes the
-//! report to `--out`, then — unless `BENCH_SKIP_CHECK` is set — holds
-//! the bench's fixed minimums and, with `--check BASELINE.json`,
-//! compares the report with the committed baseline under the bench's
-//! [`Spec`]. Report and baseline are read by the same path lookup, so
-//! a gated number is exactly the number the bench records.
+//! Each binary measures, runs its always-on correctness gates, builds
+//! its report as a [`Json`] value and hands it to [`Gate::finish`].
+//! That writes the report to `--out`, then — unless `BENCH_SKIP_CHECK`
+//! is set — holds the bench's fixed minimums and, with
+//! `--check BASELINE.json`, compares the report with the committed
+//! baseline under the bench's [`Spec`]. Report and baseline are read
+//! by the same path lookup, so a gated number is exactly the number
+//! the bench records.
 //!
 //! ```text
 //! <bench> [--out PATH] [--check BASELINE.json]
@@ -169,9 +170,9 @@ impl Gate {
     /// baseline floors. Fails on an unwritable report, an unreadable
     /// baseline or any broken floor.
     #[must_use]
-    pub fn finish(&self, report: &str, minimums: &[(&str, f64, f64)]) -> ExitCode {
+    pub fn finish(&self, report: &Json, minimums: &[(&str, f64, f64)]) -> ExitCode {
         let bench = self.spec.bench;
-        if let Err(e) = std::fs::write(&self.out, report) {
+        if let Err(e) = std::fs::write(&self.out, format!("{report}\n")) {
             eprintln!("{bench}: cannot write {}: {e}", self.out);
             return ExitCode::FAILURE;
         }
@@ -190,8 +191,7 @@ impl Gate {
                 .map_err(|e| format!("cannot read baseline {path}: {e}"))
                 .and_then(|text| {
                     let base = Json::parse(&text).map_err(|e| format!("baseline {path}: {e}"))?;
-                    let fresh = Json::parse(report).map_err(|e| format!("fresh report: {e}"))?;
-                    self.compare(&fresh, &base)
+                    self.compare(report, &base)
                 });
             match verdict {
                 Ok(h) => held &= h,
@@ -303,8 +303,7 @@ mod tests {
                 node = items.iter_mut().find(pick).expect(path);
             }
         }
-        let Json::Num(n) = node else { panic!("{path}") };
-        *n *= factor;
+        *node = Json::Num(node.as_f64().expect(path) * factor);
         copy
     }
 

@@ -16,10 +16,10 @@
 //! * [`fig4_waveforms`] — the CPF timing diagram.
 //!
 //! Binaries `table1`, `fig1_architecture`, `fig2_waveform`,
-//! `fig3_cpf_netlist` and `fig4_cpf_waveform` print these to stdout;
-//! Criterion benches in `benches/` time the same entry points. The
-//! gated bench binaries (`fsim_bench`, `atpg_bench`, `timing_bench`,
-//! `bist_bench`, `server_bench`) share one regression [`gate`].
+//! `fig3_cpf_netlist` and `fig4_cpf_waveform` print these to stdout.
+//! The gated bench binaries (`fsim_bench`, `atpg_bench`,
+//! `timing_bench`, `bist_bench`, `server_bench`) share one regression
+//! [`gate`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,9 +16,7 @@ use occ_bist::{regrade_edt, run_lbist, x_source_count, ChainMap, EdtFill};
 use occ_core::{ClockDomainSpec, ClockingMode};
 use occ_dft::{EdtCodec, EdtConfig};
 use occ_fault::{FaultModel, FaultUniverse};
-use occ_fsim::{
-    CancelToken, CaptureModel, ClockBinding, FaultSim, FaultSimEngine, ParallelFaultSim,
-};
+use occ_fsim::{CancelToken, CaptureModel, ClockBinding, ParallelFaultSim};
 use occ_lint::{LintGate, Linter};
 use occ_netlist::Netlist;
 use occ_obs::{SpanRecorder, SpanTree};
@@ -132,7 +130,7 @@ impl<'s> TestFlow<'s> {
         self
     }
 
-    /// Selects the fault-simulation engine.
+    /// Selects how many workers grade faults (see [`EngineChoice`]).
     #[must_use]
     pub fn engine(mut self, choice: EngineChoice) -> Self {
         self.engine = choice;
@@ -424,21 +422,10 @@ impl<'s> TestFlow<'s> {
                 (result, outcome.kernel, AtpgKernelStats::default())
             } else {
                 let atpg_guard = occ_obs::stage_span(Stage::Atpg.label());
-                // Both fault-sim engines implement FaultSimEngine and yield
-                // bit-identical masks; the flow is generic over the trait
-                // object.
-                let mut serial;
-                let mut sharded;
-                let engine: &mut dyn FaultSimEngine = match self.engine {
-                    EngineChoice::Serial => {
-                        serial = FaultSim::new(&model);
-                        &mut serial
-                    }
-                    EngineChoice::Sharded { .. } | EngineChoice::Auto => {
-                        sharded = ParallelFaultSim::with_threads(&model, threads);
-                        &mut sharded
-                    }
-                };
+                // Every engine choice grades on the sharded engine: at
+                // one thread (`serial`) it spawns no pool and grades
+                // inline on a cached serial kernel.
+                let mut engine = ParallelFaultSim::with_threads(&model, threads);
                 let mut podem = CompiledPodem::new(&model);
                 // EDT delivers every ATPG cube through the decompressor
                 // instead of directly from the tester; external ATPG
@@ -469,7 +456,7 @@ impl<'s> TestFlow<'s> {
                     &procedures,
                     universe,
                     &self.atpg,
-                    engine,
+                    &mut engine,
                     &mut podem,
                     pre_untestable,
                     &self.cancel,

@@ -1,17 +1,18 @@
-//! Engine selection: which [`occ_fsim::FaultSimEngine`] a flow grades
-//! faults with. Test generation always runs the compiled
-//! [`occ_atpg::CompiledPodem`].
+//! Engine selection: how many workers a flow grades faults on. Every
+//! choice grades on the sharded [`occ_fsim::ParallelFaultSim`]; test
+//! generation always runs the compiled [`occ_atpg::CompiledPodem`].
 
 use crate::FlowError;
 use std::fmt;
 use std::str::FromStr;
 
-/// The fault-simulation engine a [`TestFlow`](crate::TestFlow) runs
-/// on. All choices produce bit-identical results; they differ only in
-/// how the grading work is scheduled.
+/// How many workers a [`TestFlow`](crate::TestFlow) grades faults on.
+/// All choices produce bit-identical results; they differ only in how
+/// the grading work is scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
-    /// The serial PPSFP engine on the calling thread.
+    /// One thread: no pool, every batch graded inline on the calling
+    /// thread.
     #[default]
     Serial,
     /// The sharded engine with an explicit worker count.

@@ -1,15 +1,28 @@
 //! A std-only JSON value type: recursive-descent parser, canonical
-//! writer, path accessors.
+//! writer, path accessors — the workspace's one JSON writer.
 //!
-//! The workspace builds fully offline (no serde), and the protocol is
-//! deliberately small — newline-delimited objects of strings, numbers,
-//! booleans and flat nesting — so a ~200-line parser covers it.
+//! The workspace builds fully offline (no serde), and its documents
+//! are small: newline-delimited protocol objects, flow reports, bench
+//! baselines. Every document it emits — [`FlowReport`](crate::FlowReport)
+//! JSON, the daemon's reply lines, the gated benches' `BENCH_*.json` —
+//! is built as a [`Json`] value and rendered by its `Display`, so three
+//! decisions live here and nowhere else:
+//!
+//! * **escaping** — quotes, backslashes and control characters;
+//! * **numbers** — [`Json::U64`] is exact over the whole `u64` range
+//!   (the parser yields it for every unsigned integer literal); any
+//!   other number is a [`Json::Num`] written in its shortest
+//!   round-trip form, with `.0` on integral values so it parses back
+//!   as a float;
+//! * **non-finite floats** — written as `null`, since JSON has no NaN
+//!   or infinity.
+//!
 //! Objects preserve **key order** (a `Vec` of pairs, not a map): the
-//! golden wire-format tests pin the exact serialization of
-//! [`FlowReport`](occ_flow::FlowReport), and byte-identity comparisons
-//! of re-serialized values only work when parsing is order-preserving.
+//! golden wire-format tests pin the key sequence of a report, and a
+//! parsed value re-serializes member for member. Keys the writers name
+//! are borrowed `&'static str`s; only parsed keys are owned.
 
-use occ_flow::write_json_string;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Deepest array/object nesting [`Json::parse`] accepts. Protocol
@@ -17,21 +30,23 @@ use std::fmt;
 /// (say, 40,000 `[`) from recursing the parser off its thread's stack.
 const MAX_DEPTH: usize = 128;
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (JSON does not distinguish integer kinds).
+    /// A non-negative integer, exact over the whole `u64` range.
+    U64(u64),
+    /// Any other number.
     Num(f64),
     /// A string (escapes resolved).
     Str(String),
     /// An array.
     Arr(Vec<Json>),
     /// An object, in source key order.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
 
 /// A parse failure: byte offset plus a short reason.
@@ -61,6 +76,7 @@ impl Json {
     /// or of the first array/object nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -72,6 +88,16 @@ impl Json {
             return Err(p.err("trailing garbage after document"));
         }
         Ok(v)
+    }
+
+    /// An object with `members` in order, keyed by static names.
+    pub fn obj(members: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (Cow::Borrowed(k), v))
+                .collect(),
+        )
     }
 
     /// Member lookup on an object (first match; `None` on non-objects).
@@ -90,20 +116,24 @@ impl Json {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number of either form.
+    #[allow(clippy::cast_precision_loss)]
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
+        match *self {
+            Json::U64(n) => Some(n as f64),
+            Json::Num(n) => Some(n),
             _ => None,
         }
     }
 
     /// The numeric payload as an unsigned integer, if it is one
-    /// exactly (no fraction, no loss).
+    /// exactly: any [`Json::U64`], or a [`Json::Num`] with no fraction
+    /// below 2^53 (where every integer is exact).
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+        match *self {
+            Json::U64(n) => Some(n),
+            Json::Num(n) if n >= 0.0 && n.fract() == 0.0 && n < 2f64.powi(53) => Some(n as u64),
             _ => None,
         }
     }
@@ -125,7 +155,7 @@ impl Json {
     }
 
     /// The member list, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+    pub fn as_object(&self) -> Option<&[(Cow<'static, str>, Json)]> {
         match self {
             Json::Obj(members) => Some(members),
             _ => None,
@@ -134,7 +164,7 @@ impl Json {
 
     /// A deep copy with every member named in `keys` removed, at any
     /// depth. The canonicalizer for cache-correctness tests: two
-    /// [`FlowReport`](occ_flow::FlowReport)s are *semantically*
+    /// [`FlowReport`](crate::FlowReport)s are *semantically*
     /// identical when their JSON matches after stripping the volatile
     /// wall-clock members (`stages`, `total_seconds`).
     #[must_use]
@@ -143,7 +173,7 @@ impl Json {
             Json::Obj(members) => Json::Obj(
                 members
                     .iter()
-                    .filter(|(k, _)| !keys.contains(&k.as_str()))
+                    .filter(|(k, _)| !keys.contains(&k.as_ref()))
                     .map(|(k, v)| (k.clone(), v.without_keys(keys)))
                     .collect(),
             ),
@@ -152,33 +182,34 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_number(*n, out),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::U64(n) => write!(out, "{n}"),
+            Json::Num(n) => write_f64(*n, out),
             Json::Str(s) => write_json_string(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    v.write(out);
+                    v.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(members) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_json_string(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_json_string(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -186,26 +217,109 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        self.write(&mut s);
-        f.write_str(&s)
+        // Rendered into a local buffer and handed over in one write: the
+        // formatter's own writer is a dynamic call per token. Most
+        // documents are reply lines of a few hundred bytes.
+        let mut buf = String::with_capacity(256);
+        self.write(&mut buf)?;
+        f.write_str(&buf)
     }
 }
 
-/// Integral values print without a fraction (`3`, not `3.0`) so
-/// round-tripping a report keeps `"seed":7` byte-stable; everything
-/// else uses the shortest `{}` form.
-#[allow(clippy::cast_possible_truncation)]
-fn write_number(n: f64, out: &mut String) {
-    use fmt::Write;
-    if n.is_finite() && n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
     }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::U64(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::U64(n as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Collects into an array.
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Shortest round-trip form, `.0` appended to integral values so they
+/// parse back as floats; `null` when not finite.
+fn write_f64<W: fmt::Write>(v: f64, out: &mut W) -> fmt::Result {
+    if !v.is_finite() {
+        return out.write_str("null");
+    }
+    // `{}` never uses an exponent, so an integral value has no '.'.
+    if v.fract() == 0.0 {
+        write!(out, "{v}.0")
+    } else {
+        write!(out, "{v}")
+    }
+}
+
+/// Writes `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+fn write_json_string<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every byte matched above is ASCII, so `i` is a char boundary.
+        out.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 struct Parser<'t> {
+    text: &'t str,
     bytes: &'t [u8],
     pos: usize,
     /// Arrays/objects currently open.
@@ -291,7 +405,7 @@ impl Parser<'_> {
             self.eat(b':', "expected ':' after member name")?;
             self.skip_ws();
             let value = self.value()?;
-            members.push((key, value));
+            members.push((Cow::Owned(key), value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -338,14 +452,9 @@ impl Parser<'_> {
                 }
                 self.pos += 1;
             }
-            // The slice boundaries sit on ASCII bytes, so this is
-            // always a valid UTF-8 cut of the input str.
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| JsonError {
-                    at: start,
-                    reason: "invalid UTF-8 in string",
-                })?,
-            );
+            // The slice boundaries sit on ASCII bytes: always a char
+            // boundary of the input.
+            s.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -397,22 +506,28 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// An unsigned integer literal that fits is a [`Json::U64`]; every
+    /// other number is a [`Json::Num`].
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
+        let mut unsigned_int = true;
         if self.peek() == Some(b'-') {
             self.pos += 1;
+            unsigned_int = false;
         }
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
+            unsigned_int = false;
             while matches!(self.peek(), Some(b'0'..=b'9')) {
                 self.pos += 1;
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
+            unsigned_int = false;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
@@ -420,7 +535,10 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII span");
+        let text = &self.text[start..self.pos];
+        if let Some(n) = unsigned_int.then(|| text.parse().ok()).flatten() {
+            return Ok(Json::U64(n));
+        }
         text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
             at: start,
             reason: "invalid number",
@@ -455,7 +573,7 @@ mod tests {
             .as_object()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.as_str())
+            .map(|(k, _)| k.as_ref())
             .collect();
         assert_eq!(keys, ["z", "a", "m"]);
     }
@@ -473,6 +591,7 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
+        assert!(Json::parse("-").is_err());
     }
 
     #[test]
@@ -485,5 +604,67 @@ mod tests {
         // Far past the cap, unterminated: still a typed error, no
         // stack overflow.
         assert!(Json::parse(&"[{\"a\":".repeat(40_000)).is_err());
+    }
+
+    #[test]
+    fn json_escaping() {
+        assert_eq!(Json::from("plain").to_string(), "\"plain\"");
+        assert_eq!(
+            Json::from("a\"b\\c\nd\u{1}é").to_string(),
+            "\"a\\\"b\\\\c\\nd\\u0001é\""
+        );
+        let v = Json::obj([("k\"", Json::from("\t"))]);
+        assert_eq!(v.to_string(), r#"{"k\"":"\t"}"#);
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn unsigned_integers_are_exact_over_the_whole_range() {
+        for text in ["18446744073709551615", "9007199254740993", "0"] {
+            let v = Json::parse(text).unwrap();
+            assert_eq!(v.to_string(), text);
+            assert_eq!(v.as_u64().map(|n| n.to_string()).as_deref(), Some(text));
+        }
+        assert_eq!(
+            Json::parse("18446744073709551615").unwrap(),
+            Json::U64(u64::MAX)
+        );
+        // Past u64, negative or fractional: a float.
+        assert_eq!(
+            Json::parse("18446744073709551616").unwrap(),
+            Json::Num(18_446_744_073_709_551_616.0)
+        );
+        assert_eq!(Json::parse("-2").unwrap(), Json::Num(-2.0));
+        assert_eq!(Json::parse("2.0").unwrap().as_u64(), Some(2));
+        assert_eq!(Json::parse("2.5").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("9007199254740992.0").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn floats_round_trip_as_floats() {
+        for (v, text) in [
+            (1.5, "1.5"),
+            (100.0, "100.0"),
+            (-2.0, "-2.0"),
+            (1e-7, "0.0000001"),
+        ] {
+            let json = Json::from(v);
+            assert_eq!(json.to_string(), text);
+            assert_eq!(Json::parse(text).unwrap(), json);
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_write_null() {
+        assert_eq!(Json::parse("1e999").unwrap().to_string(), "null");
+        assert_eq!(Json::parse("-1e999").unwrap().to_string(), "null");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(v).to_string(), "null");
+        }
+        let doc = Json::obj([
+            ("x", f64::NAN.into()),
+            ("y", [f64::INFINITY].into_iter().collect()),
+        ]);
+        assert_eq!(doc.to_string(), r#"{"x":null,"y":[null]}"#);
     }
 }

@@ -13,6 +13,9 @@
 //!   bit-identical results;
 //! * [`FlowReport`] — per-stage timings, ATPG stats, coverage report,
 //!   pattern counts, std-only JSON/CSV serialization;
+//! * [`Json`] — the workspace's one JSON value type: parser and the
+//!   writer every report, wire reply and bench baseline renders
+//!   through;
 //! * [`FlowError`] — typed errors for every misconfiguration the
 //!   hand-wired pipelines used to panic on: zero clock domains,
 //!   missing scan chains, zero worker threads, clocking modes that
@@ -57,6 +60,7 @@ mod artifacts;
 mod builder;
 mod engine;
 mod error;
+mod json;
 mod report;
 mod source;
 mod timing;
@@ -65,7 +69,8 @@ pub use artifacts::{build_procedures, validate_procedures, FlowArtifacts};
 pub use builder::TestFlow;
 pub use engine::{EngineChoice, ParseEngineChoiceError};
 pub use error::FlowError;
-pub use report::{write_json_string, FlowReport, LintBlock, Stage, StageTiming, TraceBlock};
+pub use json::{Json, JsonError};
+pub use report::{FlowReport, LintBlock, Stage, StageTiming, TraceBlock};
 pub use source::{PatternSource, PatternSourceBlock};
 pub use timing::{TimingConfig, DEFAULT_DOMAIN_PERIOD_PS};
 

@@ -1,8 +1,9 @@
 //! The structured outcome of a flow run: per-stage timings, ATPG
-//! counters, the coverage report and std-only JSON/CSV serialization
-//! (no serde — the workspace builds offline).
+//! counters, the coverage report, and its JSON (a [`Json`] tree) and
+//! CSV forms.
 
 use crate::source::PatternSourceBlock;
+use crate::Json;
 use occ_atpg::{AtpgKernelStats, AtpgResult, AtpgStats};
 use occ_core::ClockingMode;
 use occ_fault::{CoverageReport, FaultModel};
@@ -194,198 +195,150 @@ impl FlowReport {
             .sum()
     }
 
-    /// Serializes the report (minus the raw pattern data) as one JSON
-    /// object.
-    pub fn to_json(&self) -> String {
-        let mut out = Vec::new();
-        self.write_json(&mut out).expect("Vec writer cannot fail");
-        String::from_utf8(out).expect("JSON writer emits UTF-8")
-    }
-
-    /// Writes the JSON form of the report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_json(&self, w: &mut dyn Write) -> io::Result<()> {
-        let fm = match self.fault_model {
-            FaultModel::StuckAt => "stuck-at",
-            FaultModel::Transition => "transition",
-        };
-        write!(
-            w,
-            "{{\"design\":{},\"clocking\":{},\"fault_model\":\"{fm}\",\
-             \"engine\":{},\"threads\":{},\"procedures\":{},\"patterns\":{}",
-            json_string(&self.design),
-            json_string(&self.clocking.label()),
-            json_string(&self.engine),
-            self.threads,
-            self.procedures,
-            self.patterns(),
-        )?;
+    /// The report (minus the raw pattern data) as one JSON object.
+    /// Every float is rounded to six decimals and every non-finite one
+    /// is `null`; integers are exact.
+    pub fn json(&self) -> Json {
         let c = &self.coverage;
-        write!(
-            w,
-            ",\"total_faults\":{},\"detected\":{},\"untestable\":{},\
-             \"aborted\":{},\"constrained\":{},\"undetected\":{},\
-             \"coverage_pct\":{},\"efficiency_pct\":{}",
-            c.total,
-            c.detected,
-            c.untestable,
-            c.aborted,
-            c.constrained,
-            c.undetected,
-            json_f64(self.coverage_pct()),
-            json_f64(self.efficiency_pct()),
-        )?;
         let s = &self.result.stats;
-        write!(
-            w,
-            ",\"stats\":{{\"targeted\":{},\"podem_calls\":{},\"tests_found\":{},\
-             \"aborted_calls\":{},\"patterns_before_compaction\":{},\"fsim_batches\":{},\
-             \"lint_pruned\":{}}}",
-            s.targeted,
-            s.podem_calls,
-            s.tests_found,
-            s.aborted_calls,
-            s.patterns_before_compaction,
-            s.fsim_batches,
-            s.lint_pruned,
-        )?;
         let k = &self.kernel;
-        write!(
-            w,
-            ",\"kernel\":{{\"cells\":{},\"comb_cells\":{},\"flops\":{},\
-             \"cone_scan\":{},\"cone_po\":{},\"faults_graded\":{},\
-             \"cone_pruned\":{},\"events\":{}}}",
-            k.cells,
-            k.comb_cells,
-            k.flops,
-            k.cone_scan,
-            k.cone_po,
-            k.faults_graded,
-            k.cone_pruned,
-            k.events,
-        )?;
         let a = &self.atpg_kernel;
-        write!(
-            w,
-            ",\"atpg_kernel\":{{\"decisions\":{},\"backtracks\":{},\
-             \"events\":{},\"incremental_resims\":{},\"full_resims\":{},\
-             \"seeded_sims\":{}}}",
-            a.decisions, a.backtracks, a.events, a.incremental_resims, a.full_resims, a.seeded_sims,
-        )?;
+        let mut members = vec![
+            ("design", self.design.as_str().into()),
+            ("clocking", self.clocking.label().into()),
+            ("fault_model", fault_model_label(self.fault_model).into()),
+            ("engine", self.engine.as_str().into()),
+            ("threads", self.threads.into()),
+            ("procedures", self.procedures.into()),
+            ("patterns", self.patterns().into()),
+            ("total_faults", c.total.into()),
+            ("detected", c.detected.into()),
+            ("untestable", c.untestable.into()),
+            ("aborted", c.aborted.into()),
+            ("constrained", c.constrained.into()),
+            ("undetected", c.undetected.into()),
+            ("coverage_pct", six(self.coverage_pct())),
+            ("efficiency_pct", six(self.efficiency_pct())),
+            (
+                "stats",
+                Json::obj([
+                    ("targeted", s.targeted.into()),
+                    ("podem_calls", s.podem_calls.into()),
+                    ("tests_found", s.tests_found.into()),
+                    ("aborted_calls", s.aborted_calls.into()),
+                    (
+                        "patterns_before_compaction",
+                        s.patterns_before_compaction.into(),
+                    ),
+                    ("fsim_batches", s.fsim_batches.into()),
+                    ("lint_pruned", s.lint_pruned.into()),
+                ]),
+            ),
+            (
+                "kernel",
+                Json::obj([
+                    ("cells", k.cells.into()),
+                    ("comb_cells", k.comb_cells.into()),
+                    ("flops", k.flops.into()),
+                    ("cone_scan", k.cone_scan.into()),
+                    ("cone_po", k.cone_po.into()),
+                    ("faults_graded", k.faults_graded.into()),
+                    ("cone_pruned", k.cone_pruned.into()),
+                    ("events", k.events.into()),
+                ]),
+            ),
+            (
+                "atpg_kernel",
+                Json::obj([
+                    ("decisions", a.decisions.into()),
+                    ("backtracks", a.backtracks.into()),
+                    ("events", a.events.into()),
+                    ("incremental_resims", a.incremental_resims.into()),
+                    ("full_resims", a.full_resims.into()),
+                    ("seeded_sims", a.seeded_sims.into()),
+                ]),
+            ),
+        ];
         if let Some(lint) = &self.lint {
             let r = &lint.report;
-            write!(
-                w,
-                ",\"lint\":{{\"gate\":{},\"errors\":{},\"warnings\":{},\
-                 \"untestable\":{},\"cells_scanned\":{},\"faults_scanned\":{},\
-                 \"rules\":{{",
-                json_string(lint.gate.label()),
-                r.errors(),
-                r.warnings(),
-                r.untestable.len(),
-                r.cells_scanned,
-                r.faults_scanned,
-            )?;
-            for (i, rule) in RuleId::ALL.iter().enumerate() {
-                if i > 0 {
-                    write!(w, ",")?;
-                }
-                write!(w, "{}:{}", json_string(rule.code()), r.count(*rule))?;
-            }
-            write!(w, "}}}}")?;
+            let rules = RuleId::ALL
+                .iter()
+                .map(|&rule| (rule.code(), r.count(rule).into()));
+            members.push((
+                "lint",
+                Json::obj([
+                    ("gate", lint.gate.label().into()),
+                    ("errors", r.errors().into()),
+                    ("warnings", r.warnings().into()),
+                    ("untestable", r.untestable.len().into()),
+                    ("cells_scanned", r.cells_scanned.into()),
+                    ("faults_scanned", r.faults_scanned.into()),
+                    ("rules", Json::obj(rules)),
+                ]),
+            ));
         }
         if let Some(q) = &self.delay_quality {
-            write!(
-                w,
-                ",\"delay_quality\":{{\"sdql\":{},\"weighted_coverage_pct\":{},\
-                 \"lambda_ps\":{},\"faults\":{},\"detected_timed\":{},\
-                 \"mean_test_slack_ps\":{},\"min_test_slack_ps\":{},\
-                 \"max_test_slack_ps\":{},\"bucket_ps\":{},\"histogram\":[",
-                json_f64(q.sdql),
-                json_f64(q.weighted_coverage_pct),
-                json_f64(q.lambda_ps),
-                q.faults,
-                q.detected_timed,
-                json_f64(q.mean_test_slack_ps),
-                q.min_test_slack_ps,
-                q.max_test_slack_ps,
-                q.bucket_ps,
-            )?;
-            for (i, n) in q.histogram.iter().enumerate() {
-                if i > 0 {
-                    write!(w, ",")?;
-                }
-                write!(w, "{n}")?;
-            }
-            write!(w, "],\"windows\":[")?;
-            for (i, win) in q.windows.iter().enumerate() {
-                if i > 0 {
-                    write!(w, ",")?;
-                }
-                write!(
-                    w,
-                    "{{\"name\":{},\"window_ps\":{},\"at_speed\":{}}}",
-                    json_string(&win.name),
-                    win.window_ps,
-                    win.at_speed,
-                )?;
-            }
-            write!(w, "]}}")?;
+            let windows = q.windows.iter().map(|win| {
+                Json::obj([
+                    ("name", win.name.as_str().into()),
+                    ("window_ps", win.window_ps.into()),
+                    ("at_speed", win.at_speed.into()),
+                ])
+            });
+            members.push((
+                "delay_quality",
+                Json::obj([
+                    ("sdql", six(q.sdql)),
+                    ("weighted_coverage_pct", six(q.weighted_coverage_pct)),
+                    ("lambda_ps", six(q.lambda_ps)),
+                    ("faults", q.faults.into()),
+                    ("detected_timed", q.detected_timed.into()),
+                    ("mean_test_slack_ps", six(q.mean_test_slack_ps)),
+                    ("min_test_slack_ps", q.min_test_slack_ps.into()),
+                    ("max_test_slack_ps", q.max_test_slack_ps.into()),
+                    ("bucket_ps", q.bucket_ps.into()),
+                    ("histogram", q.histogram.iter().copied().collect()),
+                    ("windows", windows.collect()),
+                ]),
+            ));
         }
         if let Some(ps) = &self.pattern_source {
-            write!(
-                w,
-                ",\"pattern_source\":{{\"source\":{},\"kernel_detected\":{},\
-                 \"source_detected\":{},\"aliased\":{},\"compactor_masked\":{},\
-                 \"x_masked\":{},\"signature\":{},\"signature_valid\":{},\
-                 \"x_sources\":{},\"compression_ratio\":{},\"encode_splits\":{},\
-                 \"dropped_cubes\":{}}}",
-                json_string(&ps.source),
-                ps.kernel_detected,
-                ps.source_detected,
-                ps.aliased,
-                ps.compactor_masked,
-                ps.x_masked,
-                ps.signature
-                    .map_or_else(|| "null".to_owned(), |s| s.to_string()),
-                ps.signature_valid
-                    .map_or_else(|| "null".to_owned(), |v| v.to_string()),
-                ps.x_sources,
-                json_f64(ps.compression_ratio),
-                ps.encode_splits,
-                ps.dropped_cubes,
-            )?;
+            members.push((
+                "pattern_source",
+                Json::obj([
+                    ("source", ps.source.as_str().into()),
+                    ("kernel_detected", ps.kernel_detected.into()),
+                    ("source_detected", ps.source_detected.into()),
+                    ("aliased", ps.aliased.into()),
+                    ("compactor_masked", ps.compactor_masked.into()),
+                    ("x_masked", ps.x_masked.into()),
+                    ("signature", ps.signature.into()),
+                    ("signature_valid", ps.signature_valid.into()),
+                    ("x_sources", ps.x_sources.into()),
+                    ("compression_ratio", six(ps.compression_ratio)),
+                    ("encode_splits", ps.encode_splits.into()),
+                    ("dropped_cubes", ps.dropped_cubes.into()),
+                ]),
+            ));
         }
         if let Some(tr) = &self.trace {
-            write!(w, ",\"trace\":{{\"spans\":[")?;
-            for (i, node) in tr.tree.roots.iter().enumerate() {
-                if i > 0 {
-                    write!(w, ",")?;
-                }
-                write_span_node(w, node)?;
-            }
-            write!(w, "]}}")?;
+            let spans = tr.tree.roots.iter().map(span_json).collect();
+            members.push(("trace", Json::obj([("spans", spans)])));
         }
-        write!(w, ",\"stages\":[")?;
-        for (i, st) in self.stages.iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
-            }
-            write!(
-                w,
-                "{{\"stage\":{},\"seconds\":{}}}",
-                json_string(st.stage.label()),
-                json_f64(st.seconds)
-            )?;
-        }
-        write!(
-            w,
-            "],\"total_seconds\":{}}}",
-            json_f64(self.total_seconds())
-        )
+        let stages = self.stages.iter().map(|st| {
+            Json::obj([
+                ("stage", st.stage.label().into()),
+                ("seconds", six(st.seconds)),
+            ])
+        });
+        members.push(("stages", stages.collect()));
+        members.push(("total_seconds", six(self.total_seconds())));
+        Json::obj(members)
+    }
+
+    /// [`FlowReport::json`], rendered.
+    pub fn to_json(&self) -> String {
+        self.json().to_string()
     }
 
     /// The CSV header matching [`FlowReport::to_csv_row`].
@@ -397,10 +350,7 @@ impl FlowReport {
 
     /// One CSV data row (no trailing newline).
     pub fn to_csv_row(&self) -> String {
-        let fm = match self.fault_model {
-            FaultModel::StuckAt => "stuck-at",
-            FaultModel::Transition => "transition",
-        };
+        let fm = fault_model_label(self.fault_model);
         let c = &self.coverage;
         format!(
             "{},{},{fm},{},{},{},{},{},{},{},{},{},{},{:.4},{:.4},{:.4}",
@@ -635,81 +585,45 @@ impl fmt::Display for FlowReport {
     }
 }
 
-/// Writes one span node (and its children) as a JSON object.
-fn write_span_node(w: &mut dyn Write, node: &SpanNode) -> io::Result<()> {
+/// One span node (and its children) as a JSON object.
+fn span_json(node: &SpanNode) -> Json {
     let r = &node.record;
-    write!(
-        w,
-        "{{\"name\":{},\"start_seconds\":{},\"seconds\":{}",
-        json_string(r.name),
-        json_f64(r.start_seconds()),
-        json_f64(r.seconds()),
-    )?;
+    let mut members = vec![
+        ("name", r.name.into()),
+        ("start_seconds", six(r.start_seconds())),
+        ("seconds", six(r.seconds())),
+    ];
     if r.alloc_bytes > 0 {
-        write!(w, ",\"alloc_bytes\":{}", r.alloc_bytes)?;
+        members.push(("alloc_bytes", r.alloc_bytes.into()));
     }
     if !r.attrs().is_empty() {
-        write!(w, ",\"attrs\":{{")?;
-        for (i, (k, v)) in r.attrs().iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
-            }
+        let attrs = r.attrs().iter().map(|&(k, v)| {
             let value = match v {
-                AttrValue::U64(n) => n.to_string(),
-                AttrValue::I64(n) => n.to_string(),
-                AttrValue::F64(x) => json_f64(*x),
-                AttrValue::Str(s) => json_string(s),
+                AttrValue::U64(n) => n.into(),
+                AttrValue::I64(n) => u64::try_from(n).map_or(Json::Num(n as f64), Json::U64),
+                AttrValue::F64(x) => six(x),
+                AttrValue::Str(s) => s.into(),
             };
-            write!(w, "{}:{value}", json_string(k))?;
-        }
-        write!(w, "}}")?;
+            (k, value)
+        });
+        members.push(("attrs", Json::obj(attrs)));
     }
     if !node.children.is_empty() {
-        write!(w, ",\"children\":[")?;
-        for (i, child) in node.children.iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
-            }
-            write_span_node(w, child)?;
-        }
-        write!(w, "]")?;
+        members.push(("children", node.children.iter().map(span_json).collect()));
     }
-    write!(w, "}}")
+    Json::obj(members)
 }
 
-/// Minimal JSON string quoting (control chars, quotes, backslashes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_json_string(s, &mut out);
-    out
+/// `v` as the report writes it: the value of its six-decimal
+/// rendering (`null` when not finite).
+fn six(v: f64) -> Json {
+    Json::Num(format!("{v:.6}").parse().unwrap_or(v))
 }
 
-/// Appends `s` to `out` as a quoted JSON string, escaping quotes,
-/// backslashes and control characters. The workspace's one escaper:
-/// `occ-server`'s JSON writer and wire replies use it too, so a report
-/// spliced into a reply round-trips byte for byte.
-pub fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// JSON-safe float formatting (JSON has no NaN/Infinity literals).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_owned()
+fn fault_model_label(model: FaultModel) -> &'static str {
+    match model {
+        FaultModel::StuckAt => "stuck-at",
+        FaultModel::Transition => "transition",
     }
 }
 
@@ -727,11 +641,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.500000");
+    fn six_rounds_to_the_six_decimal_value() {
+        assert_eq!(six(1.5), Json::Num(1.5));
+        assert_eq!(six(97.123_456_7), Json::Num(97.123_457));
+        assert_eq!(six(1e-7).to_string(), "0.0");
+        assert_eq!(six(f64::NAN).to_string(), "null");
+        assert_eq!(six(f64::INFINITY).to_string(), "null");
     }
 
     #[test]

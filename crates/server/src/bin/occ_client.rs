@@ -52,7 +52,7 @@ fn main() {
     // Bare op words are shorthand for the one-field request object.
     let line = match line.as_str() {
         op @ ("ping" | "stats" | "health" | "metrics" | "shutdown") => {
-            format!(r#"{{"op":"{op}"}}"#)
+            Json::obj([("op", op.into())]).to_string()
         }
         other => other.to_owned(),
     };

@@ -67,7 +67,6 @@ pub mod cache;
 pub mod design;
 pub mod faults;
 pub mod hash;
-pub mod json;
 pub mod pool;
 pub mod proto;
 pub mod server;
@@ -77,7 +76,9 @@ pub use cache::{Artifact, ArtifactCache, ArtifactKind, CacheStats, KindCounters,
 pub use design::{design_hash, DesignArtifact};
 pub use faults::{cooperative_delay, FaultAction, FaultPlan, Trigger};
 pub use hash::{hex, Fnv64};
-pub use json::{Json, JsonError};
+/// The workspace's JSON value type, which every reply line renders
+/// through — re-exported from [`occ_flow`].
+pub use occ_flow::{Json, JsonError};
 pub use pool::JobPool;
 pub use proto::{
     error_line, health_line, job_line, parse_request, run_job, run_job_with_cancel, stats_line,

@@ -28,7 +28,9 @@
 //! [`FlowReport`] embedded as an object) or
 //! `csv` (header + row as a string). `pattern_source` is `external`
 //! (default), `edt[:channels]` (auto-derived decompressor geometry) or
-//! `lbist[:patterns]`.
+//! `lbist[:patterns]`. Integer fields (`seed`, `fill_seed`,
+//! `deadline_ms`, ...) are read exactly over the whole `u64` range;
+//! fields narrower than that reject larger values with `bad-request`.
 //!
 //! ## Responses
 //!
@@ -39,15 +41,18 @@
 //! `model-error`, `flow-error`, `cancelled`, `deadline-exceeded`,
 //! `overloaded` (plus a `retry_after_ms` hint), `shutting-down`,
 //! `internal`. The README's robustness section tabulates them.
+//!
+//! Every reply line is a [`Json`] value rendered by its one writer
+//! (the constant `ping` and `shutdown` acknowledgements excepted), so
+//! a flow reply's report is the same tree as
+//! [`FlowReport::to_json`].
 
 use crate::cache::{CacheStats, KindCounters};
 use crate::hash::hex;
-use crate::json::Json;
-use crate::service::{DesignAnalysis, FlowService, JobCacheStats, JobOutcome, JobSpec};
+use crate::service::{FlowService, JobOutcome, JobSpec};
 use occ_fault::FaultModel;
-use occ_flow::{write_json_string, BistConfig, EdtConfig, FlowError, FlowReport, PatternSource};
+use occ_flow::{BistConfig, EdtConfig, FlowError, FlowReport, Json, PatternSource};
 use occ_soc::SocConfig;
-use std::fmt::Write as _;
 
 /// A protocol-level failure: a stable machine-readable code plus a
 /// human-readable message, optionally carrying a retry hint.
@@ -358,23 +363,29 @@ fn parse_design(v: &Json) -> Result<SocConfig, ProtoError> {
 /// Renders a failure response line.
 #[must_use]
 pub fn error_line(e: &ProtoError) -> String {
-    let mut out = String::from(r#"{"ok":false,"error":{"code":"#);
-    write_json_string(e.code, &mut out);
-    out.push_str(",\"message\":");
-    write_json_string(&e.message, &mut out);
-    if let Some(ms) = e.retry_after_ms {
-        let _ = write!(out, r#","retry_after_ms":{ms}"#);
-    }
-    out.push_str("}}");
-    out
+    let retry = e.retry_after_ms.map(|ms| ("retry_after_ms", ms.into()));
+    let error = [
+        ("code", e.code.into()),
+        ("message", e.message.as_str().into()),
+    ];
+    Json::obj([
+        ("ok", false.into()),
+        ("error", Json::obj(error.into_iter().chain(retry))),
+    ])
+    .to_string()
 }
 
 /// Renders the `health` response line.
 #[must_use]
 pub fn health_line(state: &str, pending: usize, workers: usize) -> String {
-    format!(
-        r#"{{"ok":true,"op":"health","state":"{state}","pending":{pending},"workers":{workers}}}"#
-    )
+    Json::obj([
+        ("ok", true.into()),
+        ("op", "health".into()),
+        ("state", state.into()),
+        ("pending", pending.into()),
+        ("workers", workers.into()),
+    ])
+    .to_string()
 }
 
 /// Renders the response line for a completed job.
@@ -385,63 +396,50 @@ pub fn job_line(outcome: &JobOutcome, format: ReportFormat) -> String {
     } else {
         "analyze"
     };
-    let mut out = String::with_capacity(256);
-    let _ = write!(
-        out,
-        r#"{{"ok":true,"op":"{op}","design_hash":"{}","warm":{},"cache":{}"#,
-        hex(outcome.design_hash),
-        outcome.warm,
-        cache_obj(&outcome.cache),
-    );
-    let _ = write!(out, r#","analysis":{}"#, analysis_obj(&outcome.analysis));
-    if let Some(report) = &outcome.report {
-        match format {
-            ReportFormat::Json => {
-                // The report's own serializer emits a complete JSON
-                // object — spliced verbatim, so a served report is
-                // byte-identical to an in-process `to_json()`.
-                let _ = write!(out, r#","report":{}"#, report.to_json());
-            }
-            ReportFormat::Csv => {
-                let csv = format!("{}\n{}", FlowReport::csv_header(), report.to_csv_row());
-                out.push_str(",\"report_csv\":");
-                write_json_string(&csv, &mut out);
-            }
-        }
-    }
-    out.push('}');
-    out
+    let (c, a) = (&outcome.cache, &outcome.analysis);
+    let report = outcome.report.as_ref().map(|report| match format {
+        // The report's own tree, so a served report is byte-identical
+        // to an in-process `to_json()`.
+        ReportFormat::Json => ("report", report.json()),
+        ReportFormat::Csv => (
+            "report_csv",
+            format!("{}\n{}", FlowReport::csv_header(), report.to_csv_row()).into(),
+        ),
+    });
+    let members = [
+        ("ok", true.into()),
+        ("op", op.into()),
+        ("design_hash", hex(outcome.design_hash).into()),
+        ("warm", outcome.warm.into()),
+        (
+            "cache",
+            Json::obj([
+                ("design_hit", c.design_hit.into()),
+                ("procedures_hit", c.procedures_hit.into()),
+                ("delays_hit", c.delays_hit.into()),
+            ]),
+        ),
+        (
+            "analysis",
+            Json::obj([
+                ("design", a.design.as_str().into()),
+                ("cells", a.cells.into()),
+                ("flops", a.flops.into()),
+                ("scan_flops", a.scan_flops.into()),
+                ("domains", a.domains.into()),
+                ("graph_bytes", a.graph_bytes.into()),
+            ]),
+        ),
+    ];
+    Json::obj(members.into_iter().chain(report)).to_string()
 }
 
-fn cache_obj(c: &JobCacheStats) -> String {
-    let opt = |v: Option<bool>| match v {
-        None => "null".to_owned(),
-        Some(b) => b.to_string(),
-    };
-    format!(
-        r#"{{"design_hit":{},"procedures_hit":{},"delays_hit":{}}}"#,
-        c.design_hit,
-        opt(c.procedures_hit),
-        opt(c.delays_hit),
-    )
-}
-
-fn analysis_obj(a: &DesignAnalysis) -> String {
-    let mut out = String::from(r#"{"design":"#);
-    write_json_string(&a.design, &mut out);
-    let _ = write!(
-        out,
-        r#","cells":{},"flops":{},"scan_flops":{},"domains":{},"graph_bytes":{}}}"#,
-        a.cells, a.flops, a.scan_flops, a.domains, a.graph_bytes,
-    );
-    out
-}
-
-fn counters_obj(c: &KindCounters) -> String {
-    format!(
-        r#"{{"hits":{},"misses":{},"evictions":{}}}"#,
-        c.hits, c.misses, c.evictions
-    )
+fn counters_obj(c: &KindCounters) -> Json {
+    Json::obj([
+        ("hits", c.hits.into()),
+        ("misses", c.misses.into()),
+        ("evictions", c.evictions.into()),
+    ])
 }
 
 /// Renders the `stats` response line: cache counters plus cumulative
@@ -450,30 +448,31 @@ fn counters_obj(c: &KindCounters) -> String {
 #[must_use]
 pub fn stats_line(s: &CacheStats) -> String {
     let m = occ_obs::metrics();
-    let mut ops = String::from("{");
-    for (i, op) in occ_obs::OPS.iter().enumerate() {
-        if i > 0 {
-            ops.push(',');
-        }
-        let _ = write!(ops, r#""{op}":{}"#, m.requests[i].get());
-    }
-    ops.push('}');
-    let mut errors = String::from("{");
-    for (i, code) in occ_obs::ERROR_CODES.iter().enumerate() {
-        if i > 0 {
-            errors.push(',');
-        }
-        let _ = write!(errors, r#""{code}":{}"#, m.request_errors[i].get());
-    }
-    errors.push('}');
-    format!(
-        r#"{{"ok":true,"op":"stats","cache":{{"design":{},"procedures":{},"delays":{},"entries":{},"bytes":{}}},"ops":{ops},"errors":{errors}}}"#,
-        counters_obj(&s.design),
-        counters_obj(&s.procedures),
-        counters_obj(&s.delays),
-        s.entries,
-        s.bytes,
-    )
+    let tally = |names: &[&'static str], counters: &[std::sync::Arc<occ_obs::Counter>]| {
+        Json::obj(
+            names
+                .iter()
+                .zip(counters)
+                .map(|(&n, c)| (n, c.get().into())),
+        )
+    };
+    Json::obj([
+        ("ok", true.into()),
+        ("op", "stats".into()),
+        (
+            "cache",
+            Json::obj([
+                ("design", counters_obj(&s.design)),
+                ("procedures", counters_obj(&s.procedures)),
+                ("delays", counters_obj(&s.delays)),
+                ("entries", s.entries.into()),
+                ("bytes", s.bytes.into()),
+            ]),
+        ),
+        ("ops", tally(&occ_obs::OPS, &m.requests)),
+        ("errors", tally(&occ_obs::ERROR_CODES, &m.request_errors)),
+    ])
+    .to_string()
 }
 
 /// Renders the `metrics` response line: the full catalog as
@@ -481,11 +480,12 @@ pub fn stats_line(s: &CacheStats) -> String {
 #[must_use]
 pub fn metrics_line() -> String {
     let exposition = occ_obs::metrics().registry.render();
-    let mut out = String::with_capacity(exposition.len() + 64);
-    out.push_str(r#"{"ok":true,"op":"metrics","exposition":"#);
-    write_json_string(&exposition, &mut out);
-    out.push('}');
-    out
+    Json::obj([
+        ("ok", true.into()),
+        ("op", "metrics".into()),
+        ("exposition", exposition.into()),
+    ])
+    .to_string()
 }
 
 /// Executes one already-parsed request against the service and renders
@@ -628,6 +628,19 @@ mod tests {
             panic!("not a job")
         };
         assert_eq!(spec.design.domains[0].flops, MAX_FLOPS_PER_DOMAIN);
+    }
+
+    #[test]
+    fn wire_integers_are_exact_over_the_whole_u64_range() {
+        let job = |line: &str| match parse_request(line) {
+            Ok(Request::Job { spec, .. }) => spec,
+            other => panic!("{line}: {other:?}"),
+        };
+        let spec = job(r#"{"op":"analyze","design":{"preset":"tiny","seed":9007199254740993}}"#);
+        assert_eq!(spec.design.seed, 9_007_199_254_740_993);
+        let spec =
+            job(r#"{"op":"flow","design":{"preset":"tiny"},"fill_seed":18446744073709551615}"#);
+        assert_eq!(spec.atpg.fill_seed, u64::MAX);
     }
 
     #[test]

@@ -35,14 +35,13 @@
 //! then closes the listener (`draining → closed`).
 
 use crate::faults::{FaultAction, FaultPlan};
-use crate::json::Json;
 use crate::pool::JobPool;
 use crate::proto::{
     error_line, health_line, metrics_line, parse_request, run_job_with_cancel, stats_line,
     ProtoError, Request,
 };
 use crate::service::FlowService;
-use occ_flow::CancelToken;
+use occ_flow::{CancelToken, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};

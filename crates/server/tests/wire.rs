@@ -1,11 +1,12 @@
 //! Golden wire-format test for the [`FlowReport`] JSON emitted over
 //! the protocol.
 //!
-//! The daemon splices `FlowReport::to_json()` verbatim into its
-//! response line, so this file *is* the compatibility contract for
-//! wire clients: the exact top-level key sequence, the sub-keys of
-//! every nested block, and round-trippability through the std-only
-//! parser. Renaming or reordering a report key breaks this test
+//! The daemon embeds the report's JSON tree (`FlowReport::json()`, the
+//! same tree `to_json()` renders) in its response line, so this file
+//! *is* the compatibility contract for wire clients: the exact
+//! top-level key sequence, the sub-keys of every nested block, the
+//! form and value of every number, and round-trippability through the
+//! std-only parser. Renaming or reordering a report key breaks this test
 //! first, before it breaks a downstream consumer.
 
 use occ_atpg::AtpgOptions;
@@ -22,7 +23,7 @@ fn keys(value: &Json) -> Vec<&str> {
         .as_object()
         .expect("expected an object")
         .iter()
-        .map(|(k, _)| k.as_str())
+        .map(|(k, _)| k.as_ref())
         .collect::<Vec<_>>()
 }
 
@@ -186,6 +187,110 @@ fn flow_report_wire_format_is_stable() {
         Some(outcome.report.as_ref().unwrap().design.as_str())
     );
 
+    // The number contract. Each float member is a float whose value is
+    // exactly its field at six decimals; each integer member is the
+    // exact integer.
+    let report = outcome.report.as_ref().unwrap();
+    let (q, source) = (
+        report.delay_quality.as_ref().unwrap(),
+        report.pattern_source.as_ref().unwrap(),
+    );
+    let six = |v: f64| format!("{v:.6}").parse::<f64>().unwrap();
+    for (block, key, field) in [
+        (&parsed, "coverage_pct", report.coverage_pct()),
+        (&parsed, "efficiency_pct", report.efficiency_pct()),
+        (quality, "sdql", q.sdql),
+        (quality, "weighted_coverage_pct", q.weighted_coverage_pct),
+        (quality, "lambda_ps", q.lambda_ps),
+        (quality, "mean_test_slack_ps", q.mean_test_slack_ps),
+        (ps, "compression_ratio", source.compression_ratio),
+    ] {
+        assert_eq!(block.get(key), Some(&Json::Num(six(field))), "{key}");
+    }
+    let (c, s, k, a) = (
+        &report.coverage,
+        report.stats(),
+        &report.kernel,
+        &report.atpg_kernel,
+    );
+    let lint_report = &report.lint.as_ref().unwrap().report;
+    let (stats, kernel, atpg_kernel) = (
+        parsed.get("stats").unwrap(),
+        parsed.get("kernel").unwrap(),
+        parsed.get("atpg_kernel").unwrap(),
+    );
+    for (block, key, field) in [
+        (&parsed, "threads", report.threads as u64),
+        (&parsed, "procedures", report.procedures as u64),
+        (&parsed, "patterns", report.patterns() as u64),
+        (&parsed, "total_faults", c.total as u64),
+        (&parsed, "detected", c.detected as u64),
+        (&parsed, "untestable", c.untestable as u64),
+        (&parsed, "aborted", c.aborted as u64),
+        (&parsed, "constrained", c.constrained as u64),
+        (&parsed, "undetected", c.undetected as u64),
+        (stats, "targeted", s.targeted as u64),
+        (stats, "podem_calls", s.podem_calls as u64),
+        (stats, "tests_found", s.tests_found as u64),
+        (stats, "aborted_calls", s.aborted_calls as u64),
+        (
+            stats,
+            "patterns_before_compaction",
+            s.patterns_before_compaction as u64,
+        ),
+        (stats, "fsim_batches", s.fsim_batches as u64),
+        (stats, "lint_pruned", s.lint_pruned as u64),
+        (kernel, "cells", k.cells as u64),
+        (kernel, "comb_cells", k.comb_cells as u64),
+        (kernel, "flops", k.flops as u64),
+        (kernel, "cone_scan", k.cone_scan as u64),
+        (kernel, "cone_po", k.cone_po as u64),
+        (kernel, "faults_graded", k.faults_graded),
+        (kernel, "cone_pruned", k.cone_pruned),
+        (kernel, "events", k.events),
+        (atpg_kernel, "decisions", a.decisions),
+        (atpg_kernel, "backtracks", a.backtracks),
+        (atpg_kernel, "events", a.events),
+        (atpg_kernel, "incremental_resims", a.incremental_resims),
+        (atpg_kernel, "full_resims", a.full_resims),
+        (atpg_kernel, "seeded_sims", a.seeded_sims),
+        (lint, "errors", lint_report.errors() as u64),
+        (lint, "warnings", lint_report.warnings() as u64),
+        (lint, "untestable", lint_report.untestable.len() as u64),
+        (lint, "cells_scanned", lint_report.cells_scanned as u64),
+        (lint, "faults_scanned", lint_report.faults_scanned as u64),
+        (quality, "faults", q.faults as u64),
+        (quality, "detected_timed", q.detected_timed as u64),
+        (quality, "min_test_slack_ps", q.min_test_slack_ps),
+        (quality, "max_test_slack_ps", q.max_test_slack_ps),
+        (quality, "bucket_ps", q.bucket_ps),
+        (ps, "kernel_detected", source.kernel_detected as u64),
+        (ps, "source_detected", source.source_detected as u64),
+        (ps, "aliased", source.aliased as u64),
+        (ps, "compactor_masked", source.compactor_masked as u64),
+        (ps, "x_masked", source.x_masked as u64),
+        (ps, "x_sources", source.x_sources as u64),
+        (ps, "encode_splits", source.encode_splits as u64),
+        (ps, "dropped_cubes", source.dropped_cubes as u64),
+    ] {
+        assert_eq!(block.get(key), Some(&Json::U64(field)), "{key}");
+    }
+    let histogram: Vec<Json> = q.histogram.iter().map(|&n| Json::U64(n)).collect();
+    assert_eq!(
+        quality.get("histogram").unwrap().as_array(),
+        Some(&histogram[..])
+    );
+    for (wire, window) in quality
+        .get("windows")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .zip(&q.windows)
+    {
+        assert_eq!(wire.get("window_ps"), Some(&Json::U64(window.window_ps)));
+    }
+
     // Round trip: canonical re-serialization must itself parse to the
     // same document (the writer and parser agree on escapes and
     // number forms).
@@ -317,9 +422,8 @@ fn job_response_line_embeds_the_report_verbatim() {
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(response.get("op").and_then(Json::as_str), Some("flow"));
 
-    // The embedded report is the report writer's output spliced in
-    // unmodified: extracting and re-serializing it must equal parsing
-    // `to_json()` directly.
+    // The embedded report is the report's own tree: extracting it
+    // must equal parsing `to_json()` directly.
     let direct = Json::parse(&outcome.report.as_ref().unwrap().to_json()).unwrap();
     assert_eq!(response.get("report"), Some(&direct));
 
