@@ -14,28 +14,28 @@ use occ_netlist::CellKind;
 
 /// Per-cell structural summary used for fault grouping.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConeSummary {
+struct ConeSummary {
     /// Bitmask of domains whose flops appear in the fan-in cone (launch
     /// sources within one frame).
-    pub launch_domains: u64,
+    launch_domains: u64,
     /// Bitmask of domains whose *scan* flops appear in the fan-out cone
     /// (capture sinks within one frame).
-    pub capture_domains: u64,
+    capture_domains: u64,
     /// A free primary input feeds the cone.
-    pub pi_in_fanin: bool,
+    pi_in_fanin: bool,
     /// A non-scan flop feeds the cone.
-    pub nonscan_in_fanin: bool,
+    nonscan_in_fanin: bool,
     /// A RAM read port feeds the cone.
-    pub ram_in_fanin: bool,
+    ram_in_fanin: bool,
     /// The fan-out cone reaches a primary output.
-    pub reaches_po: bool,
+    reaches_po: bool,
     /// The fan-out cone reaches a non-scan flop (state sink only).
-    pub nonscan_sink: bool,
+    nonscan_sink: bool,
 }
 
 /// Computes fan-in/fan-out summaries for every cell (one-frame depth:
 /// cones stop at sequential boundaries).
-pub fn cone_summaries(model: &CaptureModel<'_>) -> Vec<ConeSummary> {
+fn cone_summaries(model: &CaptureModel<'_>) -> Vec<ConeSummary> {
     let nl = model.netlist();
     let n = nl.len();
     let mut s = vec![ConeSummary::default(); n];

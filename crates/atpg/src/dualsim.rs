@@ -275,13 +275,6 @@ impl<'m, 'a> DualSim<'m, 'a> {
         next
     }
 
-    /// The good value of the fault site's driving node in 1-based
-    /// `frame`.
-    pub fn site_good(&self, fault: Fault, frame: usize) -> Logic {
-        let node = self.site_node(fault.site());
-        self.good[frame - 1][node.index()]
-    }
-
     /// The node carrying the site value (driver for input-pin faults).
     pub fn site_node(&self, site: FaultSite) -> CellId {
         match site {

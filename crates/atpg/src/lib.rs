@@ -48,7 +48,7 @@ mod podem;
 mod reach;
 mod scoap;
 
-pub use classify::{classify_faults, ConeSummary};
+pub use classify::classify_faults;
 pub use compiled::CompiledPodem;
 pub use dualsim::{DualGraphSim, DualSim};
 pub use engine::{AtpgEngine, AtpgKernelStats};

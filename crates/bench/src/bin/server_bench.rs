@@ -5,9 +5,9 @@
 //! Hammers an in-process [`occ_server::FlowService`] with analyze jobs
 //! on the seeded Table-1 SOC family from N concurrent client threads,
 //! cold (every design compiles: generate + levelize + compile the
-//! simulation graph) and warm (every artifact served as an `Arc` clone
+//! simulation graph) and warm (every design served as an `Arc` clone
 //! out of the content-hash cache), then runs one full flow job cold vs
-//! warm to record the compile stages a warm flow skips. Results land
+//! warm to record the design compile a warm flow skips. Results land
 //! in `BENCH_server.json` so the cache's value is tracked in-repo.
 //!
 //! A fourth, *degraded-mode* phase then stands up the real TCP daemon
@@ -34,8 +34,8 @@
 //! Five gates:
 //!
 //! * **Warm correctness** (always on, hardware-independent): the warm
-//!   flow job must report every artifact as a cache hit — a warm job
-//!   that recompiles anything is a cache-key bug, not a perf problem.
+//!   flow job must report its design as a cache hit — a warm job that
+//!   recompiles the design is a cache-key bug, not a perf problem.
 //! * **Hard floor**: warm jobs/sec must be at least
 //!   [`WARM_FLOOR`]x cold — the ratio cancels machine speed (both
 //!   sides ran on this machine); in practice it is orders of magnitude
@@ -201,9 +201,9 @@ fn main() -> ExitCode {
          warm over cold: {ratio:.1}x",
     );
 
-    // One full flow job cold vs warm: the warm run must hit every
-    // artifact (graph, procedures, delay table) — i.e. run zero
-    // compile stages. Timings are informational; the hit flags gate.
+    // One full flow job cold vs warm: the warm run must hit the
+    // cached design — i.e. compile no design. Timings are
+    // informational; the hit flag gates.
     let flow_service = FlowService::new(0);
     let flow_job = {
         let mut job = JobSpec::new(SocConfig::paper_like(TABLE1_SEED, FLOW_FLOPS));
@@ -229,14 +229,13 @@ fn main() -> ExitCode {
     let flow_warm_secs = t0.elapsed().as_secs_f64();
     println!(
         "  flow job: cold {flow_cold_secs:.2}s, warm {flow_warm_secs:.2}s \
-         (warm cache: design {}, procedures {:?}, delays {:?})",
-        warm_flow.cache.design_hit, warm_flow.cache.procedures_hit, warm_flow.cache.delays_hit,
+         (warm design hit: {})",
+        warm_flow.cache.design_hit,
     );
     if !warm_flow.warm {
         eprintln!(
-            "server_bench: FATAL — the warm flow job recompiled an artifact \
-             ({:?}); the content-hash cache key is broken",
-            warm_flow.cache
+            "server_bench: FATAL — the warm flow job recompiled its design; \
+             the content-hash cache key is broken"
         );
         return ExitCode::FAILURE;
     }

@@ -26,8 +26,8 @@
 //! The five-row sweep runs through an in-process
 //! `occ::server::FlowService`: the SOC is generated and compiled once
 //! (first row) and every later clocking-mode row reuses the cached
-//! simulation graph. `--verbose` prints the per-row artifact-cache
-//! hits and the sweep's global cache counters.
+//! simulation graph. `--verbose` prints the per-row design-cache hits
+//! and the sweep's global cache counters.
 //!
 //! `--sources` replaces the five-row table with the 4 clocking modes ×
 //! 3 pattern sources matrix: every transition-test clocking row (b)–(e)
@@ -41,6 +41,15 @@ use occ_bench::{run_experiment, run_sources_matrix, run_table1, ExperimentId, Ta
 use occ_fault::FaultStatus;
 use occ_flow::{EngineChoice, LintGate};
 use occ_soc::{generate, SocConfig};
+
+/// The `--verbose` label of a design-cache lookup.
+fn hit(design_hit: bool) -> &'static str {
+    if design_hit {
+        "hit"
+    } else {
+        "miss"
+    }
+}
 
 /// Prints a traced report's span tree (no-op for untraced runs).
 fn print_trace(report: &occ_flow::FlowReport) {
@@ -130,21 +139,14 @@ fn main() {
             }
         }
         if verbose {
-            let hit = |h: Option<bool>| match h {
-                Some(true) => "hit",
-                Some(false) => "miss",
-                None => "-",
-            };
-            println!("artifact cache (in-process flow service):");
+            println!("design cache (in-process flow service):");
             for c in &matrix.cells {
                 println!(
-                    "  {:<10} {} {:<24} design {:<4} procedures {:<4} delays {}",
+                    "  {:<10} {} {:<24} design {}",
                     c.source,
                     c.id,
                     c.report.clocking.label(),
-                    hit(Some(c.cache.design_hit)),
-                    hit(c.cache.procedures_hit),
-                    hit(c.cache.delays_hit),
+                    hit(c.cache.design_hit),
                 );
             }
         }
@@ -239,35 +241,20 @@ fn main() {
                 }
             }
             if verbose {
-                let hit = |h: Option<bool>| match h {
-                    Some(true) => "hit",
-                    Some(false) => "miss",
-                    None => "-",
-                };
-                println!("artifact cache (in-process flow service):");
+                println!("design cache (in-process flow service):");
                 for r in &table.rows {
                     let c = r.cache.expect("table rows run through the service");
                     println!(
-                        "  {} {:<24} design {:<4} procedures {:<4} delays {}",
+                        "  {} {:<24} design {}",
                         r.id,
                         r.report.clocking.label(),
-                        hit(Some(c.design_hit)),
-                        hit(c.procedures_hit),
-                        hit(c.delays_hit),
+                        hit(c.design_hit),
                     );
                 }
                 let s = &table.cache;
                 println!(
-                    "  totals: design {}/{} hit/miss, procedures {}/{}, delays {}/{} \
-                     ({} entries, {} bytes resident)",
-                    s.design.hits,
-                    s.design.misses,
-                    s.procedures.hits,
-                    s.procedures.misses,
-                    s.delays.hits,
-                    s.delays.misses,
-                    s.entries,
-                    s.bytes,
+                    "  totals: design {}/{} hit/miss ({} entries, {} bytes resident)",
+                    s.design.hits, s.design.misses, s.entries, s.bytes,
                 );
             }
         }

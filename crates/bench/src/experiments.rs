@@ -123,7 +123,7 @@ pub struct ExperimentRow {
     /// The full flow report (stage timings, ATPG stats, fault
     /// statuses, pattern set).
     pub report: FlowReport,
-    /// Per-artifact cache hit/miss of the run, when it went through a
+    /// The design-cache hit or miss of the run, when it went through a
     /// [`FlowService`] (`None` for direct [`run_experiment`] calls).
     pub cache: Option<JobCacheStats>,
 }
@@ -255,7 +255,7 @@ pub fn job_spec(design: SocConfig, id: ExperimentId, options: &Table1Options) ->
 
 /// Runs one Table 1 experiment through a [`FlowService`]: the design
 /// is compiled on first use and every later row reuses the cached
-/// artifacts ([`ExperimentRow::cache`] records what hit).
+/// design ([`ExperimentRow::cache`] records whether it hit).
 ///
 /// # Errors
 ///
@@ -287,7 +287,7 @@ pub struct Table1 {
     pub rows: Vec<ExperimentRow>,
     /// The options used.
     pub options: Table1Options,
-    /// Global artifact-cache counters of the sweep's [`FlowService`]:
+    /// Global design-cache counters of the sweep's [`FlowService`]:
     /// one design miss, four hits — the SOC is compiled once across
     /// all five clocking-mode rows.
     pub cache: CacheStats,
@@ -557,7 +557,7 @@ pub struct MatrixCell {
     /// The full flow report (including the `pattern_source` block for
     /// embedded sources).
     pub report: FlowReport,
-    /// Per-artifact cache hits of the cell's job.
+    /// The design-cache hit or miss of the cell's job.
     pub cache: JobCacheStats,
 }
 
@@ -712,7 +712,7 @@ impl fmt::Display for SourcesMatrix {
 
 /// Runs the 4 clocking modes × 3 pattern sources matrix through one
 /// [`FlowService`]: the design artifact is compiled exactly once (the
-/// cache keys exclude the pattern source), and the delay-quality
+/// cache key excludes the pattern source), and the delay-quality
 /// stage is always on so every cell carries SDQL.
 ///
 /// # Errors

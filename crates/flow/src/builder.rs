@@ -3,7 +3,7 @@
 //! the named capture procedures, run ATPG through a pluggable
 //! fault-sim engine, classify the leftovers and report.
 
-use crate::artifacts::{build_procedures, validate_procedures, FlowArtifacts};
+use crate::procedures::build_procedures;
 use crate::report::{LintBlock, TraceBlock};
 use crate::source::{PatternSource, PatternSourceBlock};
 use crate::timing::{run_quality, TimingConfig, DEFAULT_DOMAIN_PERIOD_PS};
@@ -16,7 +16,7 @@ use occ_bist::{regrade_edt, run_lbist, x_source_count, ChainMap, EdtFill};
 use occ_core::{ClockDomainSpec, ClockingMode};
 use occ_dft::{EdtCodec, EdtConfig};
 use occ_fault::{FaultModel, FaultUniverse};
-use occ_fsim::{CancelToken, CaptureModel, ClockBinding, ParallelFaultSim};
+use occ_fsim::{CancelToken, CaptureModel, ClockBinding, ParallelFaultSim, SimGraph};
 use occ_lint::{LintGate, Linter};
 use occ_netlist::Netlist;
 use occ_obs::{SpanRecorder, SpanTree};
@@ -74,7 +74,7 @@ pub struct TestFlow<'s> {
     timing: Option<TimingConfig>,
     lint: Option<LintGate>,
     pattern_source: PatternSource,
-    artifacts: FlowArtifacts,
+    graph: Option<Arc<SimGraph>>,
     cancel: CancelToken,
     trace: bool,
 }
@@ -109,7 +109,7 @@ impl<'s> TestFlow<'s> {
             timing: None,
             lint: None,
             pattern_source: PatternSource::ExternalAtpg,
-            artifacts: FlowArtifacts::default(),
+            graph: None,
             cancel: CancelToken::never(),
             trace: false,
         }
@@ -218,15 +218,16 @@ impl<'s> TestFlow<'s> {
         self
     }
 
-    /// Hands the flow precompiled artifact handles (shared graph,
-    /// procedures, delay table) from a content-addressed cache: the
-    /// corresponding compile stages skip their work and clone only
-    /// `Arc`s. Reports are byte-identical to a cold run — the
-    /// artifacts are pure functions of the inputs they are keyed by.
-    /// See [`FlowArtifacts`] for the keying contract.
+    /// Hands the flow the design's already-compiled [`SimGraph`] (from
+    /// a design cache): the bind stage skips graph compilation and
+    /// shares the `Arc`. The graph must come from this flow's netlist;
+    /// a cell or flop count mismatch fails the bind stage with
+    /// [`FlowError::Model`]. Reports are byte-identical to a run that
+    /// compiles its own graph. Every other stage (procedures, delay
+    /// table) is built per run: each costs microseconds.
     #[must_use]
-    pub fn artifacts(mut self, artifacts: FlowArtifacts) -> Self {
-        self.artifacts = artifacts;
+    pub fn graph(mut self, graph: Arc<SimGraph>) -> Self {
+        self.graph = Some(graph);
         self
     }
 
@@ -278,7 +279,7 @@ impl<'s> TestFlow<'s> {
         };
         check_cancel()?;
         // Reuse an already-installed recorder (a traced service job
-        // installs one around the whole job, so artifact-cache spans
+        // installs one around the whole job, so design-cache spans
         // join the same forest); otherwise install our own for the
         // duration of the run. Detail spans record only when tracing —
         // the default path records just the stage spans the report's
@@ -300,7 +301,7 @@ impl<'s> TestFlow<'s> {
         };
 
         let stage_guard = occ_obs::stage_span(Stage::BindModel.label());
-        let model = match &self.artifacts.graph {
+        let model = match &self.graph {
             Some(graph) => CaptureModel::with_graph(netlist, binding, Arc::clone(graph))?,
             None => CaptureModel::new(netlist, binding)?,
         };
@@ -314,17 +315,7 @@ impl<'s> TestFlow<'s> {
         check_cancel()?;
 
         let stage_guard = occ_obs::stage_span(Stage::Procedures.label());
-        let procedures: Arc<Vec<occ_fsim::FrameSpec>> = match &self.artifacts.procedures {
-            Some(procs) => {
-                validate_procedures(self.clocking, self.fault_model)?;
-                Arc::clone(procs)
-            }
-            None => Arc::new(build_procedures(
-                self.clocking,
-                self.fault_model,
-                model.domain_count(),
-            )?),
-        };
+        let procedures = build_procedures(self.clocking, self.fault_model, model.domain_count())?;
         drop(stage_guard);
 
         let stage_guard = occ_obs::stage_span(Stage::FaultUniverse.label());
@@ -516,7 +507,6 @@ impl<'s> TestFlow<'s> {
                     &result,
                     cfg,
                     &periods,
-                    self.artifacts.delays.as_deref(),
                     threads,
                     &self.cancel,
                 );

@@ -56,20 +56,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod artifacts;
 mod builder;
 mod engine;
 mod error;
 mod json;
+mod procedures;
 mod report;
 mod source;
 mod timing;
 
-pub use artifacts::{build_procedures, validate_procedures, FlowArtifacts};
 pub use builder::TestFlow;
 pub use engine::{EngineChoice, ParseEngineChoiceError};
 pub use error::FlowError;
 pub use json::{Json, JsonError};
+pub use procedures::build_procedures;
 pub use report::{FlowReport, LintBlock, Stage, StageTiming, TraceBlock};
 pub use source::{PatternSource, PatternSourceBlock};
 pub use timing::{TimingConfig, DEFAULT_DOMAIN_PERIOD_PS};

@@ -90,7 +90,7 @@ impl Stage {
 pub struct TraceBlock {
     /// The span forest: the `flow` root span (stage spans beneath it,
     /// detail spans beneath those) plus any sibling roots recorded in
-    /// the same scope (per-job artifact-cache spans).
+    /// the same scope (per-job design-cache spans).
     pub tree: SpanTree,
 }
 

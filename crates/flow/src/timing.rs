@@ -94,10 +94,7 @@ fn site_index(model: &CaptureModel<'_>, fault: Fault) -> usize {
 }
 
 /// Runs the quality pass over a finished ATPG result, re-grading on
-/// `threads` fault-sim workers. A precompiled delay table (from a
-/// [`FlowArtifacts`](crate::FlowArtifacts) cache) skips the
-/// [`DelayModel::compile`] pass; `cfg.delays` is then only identity
-/// metadata.
+/// `threads` fault-sim workers.
 ///
 /// # Errors
 ///
@@ -111,21 +108,16 @@ pub(crate) fn run_quality(
     result: &occ_atpg::AtpgResult,
     cfg: &TimingConfig,
     domain_periods: &[Time],
-    precompiled: Option<&occ_sim::CompiledDelays>,
     threads: usize,
     cancel: &CancelToken,
 ) -> Result<QualityReport, CancelCause> {
     let graph = model.graph();
     let n_domains = model.domain_count();
-    let compiled_here;
-    let delays = match precompiled {
-        Some(table) => table.as_slice(),
-        None => {
-            let _compile_span = occ_obs::span("timing.compile");
-            compiled_here = cfg.delays.compile(model.netlist());
-            compiled_here.as_slice()
-        }
+    let compiled = {
+        let _compile_span = occ_obs::span("timing.compile");
+        cfg.delays.compile(model.netlist())
     };
+    let delays = compiled.as_slice();
 
     let windows: Vec<ProcWindow> = procedures
         .iter()

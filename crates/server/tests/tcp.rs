@@ -354,6 +354,27 @@ fn oversized_design_is_a_typed_bad_request() {
     line.clear();
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"op\":\"ping\""), "{line}");
+
+    // A fault-sim pool of four billion workers: rejected at parse
+    // time, before a job is queued or a thread started.
+    stream
+        .write_all(
+            b"{\"op\":\"flow\",\"design\":{\"preset\":\"tiny\",\"seed\":3},\"engine\":\"sharded:4000000000\"}\n",
+        )
+        .unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let v = Json::parse(&line).unwrap();
+    let error = v.get("error").expect("an error reply");
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("bad-request"),
+        "{line}"
+    );
+    stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"op\":\"ping\""), "{line}");
     server.shutdown();
 }
 

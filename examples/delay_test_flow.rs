@@ -9,9 +9,8 @@
 //! The three runs go through an in-process
 //! [`occ::server::FlowService`]: the SOC is generated and its
 //! simulation graph compiled exactly once (the first job), and the
-//! later clocking modes reuse the cached artifacts — the per-mode
-//! cache lines in the output show which compile stages each job
-//! skipped.
+//! later clocking modes reuse the cached design — the per-mode cache
+//! lines in the output show which jobs compiled it.
 //!
 //! Run with:
 //! `cargo run --release --example delay_test_flow [-- --threads N] [--lint]`
@@ -107,20 +106,12 @@ fn main() {
             report.efficiency_pct(),
             report.total_seconds()
         );
-        let hit = |h: Option<bool>| match h {
-            Some(true) => "hit",
-            Some(false) => "miss",
-            None => "-",
-        };
         println!(
-            "   cache: design {}, procedures {}, delays {}{}",
-            hit(Some(outcome.cache.design_hit)),
-            hit(outcome.cache.procedures_hit),
-            hit(outcome.cache.delays_hit),
+            "   cache: design {}",
             if outcome.warm {
-                " (warm: no compile stage ran)"
+                "hit (warm: no design compiled)"
             } else {
-                ""
+                "miss"
             },
         );
         for (class, n) in &report.coverage.class_histogram {
